@@ -48,7 +48,6 @@ from .model import (
     MiningConfig,
     Role,
     RoleMiningError,
-    TieBreak,
     distinct_rows,
     is_complete,
     satisfies_constraint,
@@ -76,7 +75,6 @@ __all__ = [
     "RoleMiningError",
     "SparseParseResult",
     "SplitMix64",
-    "TieBreak",
     "accuracy_distance",
     "distinct_rows",
     "eliminate_union_roles",

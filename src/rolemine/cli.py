@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
@@ -25,6 +26,7 @@ from .datasets import (
     parse_catalog,
     parse_dense,
     parse_sparse,
+    relabel_catalog,
     serialize_catalog,
     serialize_decomposition,
     serialize_dense,
@@ -76,6 +78,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
     truth = None
     if args.truth:
         truth = parse_catalog(Path(args.truth).read_text(encoding="utf-8"))
+        if sparse_result is not None:
+            truth = relabel_catalog(truth, sparse_result.perm_names)
     cfg = MiningConfig(max_perms_per_role=args.k, seed=args.seed)
     miner = _MINERS[args.algo]
     start = time.perf_counter()
@@ -198,22 +202,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
             rows = list(pool.map(_compare_cell, cells))
     else:
         rows = [_compare_cell(c) for c in cells]
-    buf = []
-    out = csv.writer(_ListWriter(buf), lineterminator="\n")
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
     out.writerow(COMPARE_HEADER)
     out.writerows(rows)
-    text = "".join(buf)
+    text = buf.getvalue()
     _write_text(args.out, text)
     sys.stdout.write(text)
     return 0
-
-
-class _ListWriter:
-    def __init__(self, sink: list[str]) -> None:
-        self._sink = sink
-
-    def write(self, chunk: str) -> None:
-        self._sink.append(chunk)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:

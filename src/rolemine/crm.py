@@ -11,9 +11,21 @@ Deterministic policies:
   among all currently uncovered cells (ties: ascending permission index);
 - selection ties on user count prefer the larger candidate, then the
   lexicographically smallest permission tuple.
+
+The loop is incremental.  Clusters persist across rounds: a pick moves
+only its holders, which are exactly the clusters whose mask contains it,
+to the cluster of their remaining mask.  The winning key (user count,
+min(|mask|, k)) needs no truncation, so a heap of cluster keys finds the
+clusters tied at the top and only those are truncated.  Truncations are
+cached per cluster mask.  A pick lowers the frequency of its own
+permissions only, so a cached truncation can change only when it contains
+a picked permission; such entries are dropped and every other entry stays
+valid.  The output is that of re-clustering and re-truncating every round.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .lattice import lattice_reduce
 from .model import (
@@ -31,66 +43,83 @@ def mine_crm(
     upa: AccessMatrix, cfg: MiningConfig, *, lattice: bool = True
 ) -> Decomposition:
     k = cfg.max_perms_per_role
-    uncovered = list(upa.masks)
     freq = [0] * upa.n_perms
-    for m in uncovered:
+    clusters: dict[int, list[int]] = {}
+    for u, m in enumerate(upa.masks):
+        if m:
+            clusters.setdefault(m, []).append(u)
+    for m, users in clusters.items():
         for p in iter_bits(m):
-            freq[p] += 1
+            freq[p] += len(users)
+
+    # (-user count, -min(|mask|, k), mask); an entry is stale once its
+    # cluster is gone or has grown.
+    heap: list[tuple[int, int, int]] = []
+
+    def push(m: int) -> None:
+        heapq.heappush(heap, (-len(clusters[m]), -min(m.bit_count(), k), m))
+
+    for m in clusters:
+        push(m)
+
+    # cluster mask -> (candidate mask, candidate permission tuple)
+    cands: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+    def candidate(m: int) -> tuple[int, tuple[int, ...]]:
+        cand = cands.get(m)
+        if cand is None:
+            if m.bit_count() <= k:
+                cand = (m, perm_tuple(m))
+            else:
+                top = heapq.nsmallest(k, iter_bits(m), key=lambda p: (-freq[p], p))
+                top.sort()
+                cand = (mask_of(top), tuple(top))
+            cands[m] = cand
+        return cand
 
     role_masks: list[int] = []
-    role_users: list[list[int]] = []
     seen_masks: set[int] = set()
-    active = [u for u in range(upa.n_users) if uncovered[u]]
-
-    while active:
-        clusters: dict[int, list[int]] = {}
-        for u in active:
-            clusters.setdefault(uncovered[u], []).append(u)
-
-        best_cand = -1
-        best_count = -1
-        best_size = -1
-        best_tuple: tuple[int, ...] | None = None
-        for cluster_mask, members in clusters.items():
-            if cluster_mask.bit_count() <= k:
-                cand = cluster_mask
-            else:
-                top = sorted(iter_bits(cluster_mask), key=lambda p: (-freq[p], p))[:k]
-                cand = mask_of(top)
-            count = len(members)
-            size = cand.bit_count()
-            if (count, size) < (best_count, best_size):
-                continue
-            if (count, size) > (best_count, best_size):
-                best_cand, best_count, best_size = cand, count, size
-                best_tuple = None
-                continue
-            if cand == best_cand:
-                continue
-            if best_tuple is None:
-                best_tuple = perm_tuple(best_cand)
-            cand_tuple = perm_tuple(cand)
-            if cand_tuple < best_tuple:
-                best_cand, best_tuple = cand, cand_tuple
-
-        cand = best_cand
-        assert cand > 0 and cand not in seen_masks
-        seen_masks.add(cand)
-        holders = []
-        for u in active:
-            if cand & ~uncovered[u] == 0:
-                holders.append(u)
-                uncovered[u] &= ~cand
-                for p in iter_bits(cand):
-                    freq[p] -= 1
-        role_masks.append(cand)
-        role_users.append(holders)
-        active = [u for u in active if uncovered[u]]
-
     ua: list[set[int]] = [set() for _ in range(upa.n_users)]
-    for rid, users in enumerate(role_users):
-        for u in users:
-            ua[u].add(rid)
+    while clusters:
+        tied: set[int] = set()
+        top_key = None
+        while heap:
+            count, size, m = heap[0]
+            users = clusters.get(m)
+            if users is None or len(users) != -count:
+                heapq.heappop(heap)
+                continue
+            if top_key is None:
+                top_key = (count, size)
+            elif (count, size) != top_key:
+                break
+            heapq.heappop(heap)
+            tied.add(m)
+        pick = min((candidate(m) for m in tied), key=lambda c: c[1])[0]
+        assert pick > 0 and pick not in seen_masks
+        seen_masks.add(pick)
+
+        rid = len(role_masks)
+        role_masks.append(pick)
+        held = 0
+        for m in [m for m in clusters if pick & ~m == 0]:
+            users = clusters.pop(m)
+            cands.pop(m, None)
+            held += len(users)
+            for u in users:
+                ua[u].add(rid)
+            rest = m & ~pick
+            if rest:
+                clusters.setdefault(rest, []).extend(users)
+                push(rest)
+        for p in iter_bits(pick):
+            freq[p] -= held
+        for m in tied:
+            if m in clusters:
+                push(m)
+        for m in [m for m, (cand, _) in cands.items() if cand & pick]:
+            del cands[m]
+
     d = Decomposition(
         roles=tuple(
             Role(rid, frozenset(iter_bits(m))) for rid, m in enumerate(role_masks)

@@ -220,6 +220,30 @@ def parse_catalog(text: str) -> tuple[frozenset[int], ...]:
     return tuple(out)
 
 
+def relabel_catalog(
+    catalog: Sequence[frozenset[int]], perm_names: Sequence[str]
+) -> tuple[frozenset[int], ...]:
+    """Move a catalog read by parse_catalog into a sparse input's index space.
+
+    parse_catalog reads the token ``p<j>`` as index j, while parse_sparse
+    numbers tokens in order of first appearance; each j is mapped through
+    the input token ``p<j>`` instead, or through the bare token ``<j>`` of
+    an input with plain integer tokens.  A permission that no input token
+    names gets a fresh index >= len(perm_names), so it matches no role mined
+    from that input, just as a permission nobody holds matches none.
+    """
+    index = {name: i for i, name in enumerate(perm_names)}
+    fresh: dict[int, int] = {}
+
+    def relabel(p: int) -> int:
+        i = index.get(f"p{p}", index.get(str(p)))
+        if i is None:
+            i = fresh.setdefault(p, len(perm_names) + len(fresh))
+        return i
+
+    return tuple(frozenset(relabel(p) for p in role) for role in catalog)
+
+
 # --- synthetic generation ----------------------------------------------------
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .model import (
     Decomposition,
     IncompleteDecompositionError,
     MiningConfig,
+    RoleMiningError,
     is_complete,
 )
 
@@ -80,6 +81,11 @@ class MetricsReport:
         return ["" if d[f] is None else str(d[f]) for f in JSON_FIELDS]
 
 
+class UndefinedMetricError(RoleMiningError, ValueError):
+    """Accuracy or distance asked of an empty mined or truth catalog: a data
+    error, not a usage error."""
+
+
 def jaccard(a: frozenset[int], b: frozenset[int]) -> Fraction:
     union = len(a | b)
     if union == 0:
@@ -94,7 +100,9 @@ def accuracy_distance(
     mined_sets = [frozenset(s) for s in mined]
     truth_sets = [frozenset(s) for s in truth]
     if not mined_sets or not truth_sets:
-        raise ValueError("accuracy/distance are undefined for empty catalogs")
+        raise UndefinedMetricError(
+            "accuracy/distance are undefined for empty catalogs"
+        )
     mined_lookup = set(mined_sets)
     matched = sum(1 for t in truth_sets if t in mined_lookup)
     total = Fraction(0)

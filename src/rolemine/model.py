@@ -15,7 +15,6 @@ check just like under-coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -118,7 +117,12 @@ class AccessMatrix:
 
 @dataclass(frozen=True)
 class Role:
-    """A nonempty set of permissions with an id unique inside one decomposition."""
+    """A nonempty set of permissions with an id unique inside one decomposition.
+
+    ``mask``, the permission bitmask, is computed once at construction; it is
+    an attribute, not a field, so equality, hashing and repr see only ``id``
+    and ``perms``.
+    """
 
     id: int
     perms: frozenset[int]
@@ -129,10 +133,7 @@ class Role:
             raise ValueError(f"role {self.id} has an empty permission set")
         if any(p < 0 for p in self.perms):
             raise ValueError(f"role {self.id} has a negative permission index")
-
-    @property
-    def mask(self) -> int:
-        return mask_of(self.perms)
+        object.__setattr__(self, "mask", mask_of(self.perms))
 
     def sorted_perms(self) -> tuple[int, ...]:
         return tuple(sorted(self.perms))
@@ -205,12 +206,6 @@ class Decomposition:
         return sum(len(r.perms) for r in self.roles)
 
 
-class TieBreak(Enum):
-    """Deterministic tie-break policy; a single fixed policy exists today."""
-
-    LOWEST_INDEX_FIRST = "lowest-index-first"
-
-
 @dataclass(frozen=True)
 class MiningConfig:
     """Mining parameters: the cardinality bound k, WSC weights, seed."""
@@ -222,7 +217,6 @@ class MiningConfig:
         Fraction(1),
     )
     seed: int = 0
-    tie_break: TieBreak = TieBreak.LOWEST_INDEX_FIRST
 
     def __post_init__(self) -> None:
         if self.max_perms_per_role < 1:

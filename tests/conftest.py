@@ -28,6 +28,15 @@ def synthetic_instance(meta: SplitMix64, *, min_users=10, max_users=200,
     return upa, truth, k
 
 
+def guard_instance() -> AccessMatrix:
+    """The 2000 x 500 regression-guard instance (seed 99), mined at k=20."""
+    upa, _ = generate(GeneratorParams(
+        n_users=2000, n_perms=500, n_roles=120,
+        max_roles_per_user=4, max_perms_per_role=20, seed=99,
+    ))
+    return upa
+
+
 def tiny_instance(seed: int) -> tuple[AccessMatrix, int]:
     """Oracle-sized instance: <= 6 permissions, <= 6 distinct nonempty rows."""
     rng = SplitMix64(seed)

@@ -6,7 +6,17 @@ import sys
 
 import pytest
 
-from rolemine import parse_catalog, parse_decomposition, parse_dense, parse_sparse
+from rolemine import (
+    GeneratorParams,
+    MiningConfig,
+    generate,
+    measure,
+    mine_constrained,
+    parse_catalog,
+    parse_decomposition,
+    parse_dense,
+    parse_sparse,
+)
 from rolemine.model import is_complete
 
 
@@ -128,8 +138,37 @@ def test_gen_mine_truth_pipeline(tmp_path):
     )
     assert mine.returncode == 0, mine.stderr
     blob = json.loads(metrics.read_text())
-    assert blob["accuracy"] is not None
-    assert blob["distance"] is not None
+    # The in-memory pipeline on the parsed matrix, with the generator's truth
+    # moved into the parsed index space through the p<j> tokens; a truth
+    # permission nobody holds keeps an index no mined role can contain.
+    parsed = parse_sparse(upa_path.read_text())
+    index = {name: i for i, name in enumerate(parsed.perm_names)}
+    _, truth = generate(GeneratorParams(
+        n_users=40, n_perms=15, n_roles=6,
+        max_roles_per_user=2, max_perms_per_role=4, seed=3,
+    ))
+    fresh = parsed.matrix.n_perms
+    truth = [frozenset(index.get(f"p{p}", fresh + p) for p in t) for t in truth]
+    cfg = MiningConfig(max_perms_per_role=4)
+    report = measure(parsed.matrix, mine_constrained(parsed.matrix, cfg), cfg,
+                     truth=truth)
+    assert report.accuracy > 0
+    assert blob["accuracy"] == str(report.accuracy)
+    assert blob["distance"] == str(report.distance)
+
+
+def test_mine_truth_with_empty_catalog_is_data_error(tmp_path):
+    data = tmp_path / "zeros.txt"
+    data.write_text("000\n000\n")
+    truth = tmp_path / "truth.txt"
+    truth.write_text("role 0: p0 p1\n")
+    proc = run_cli(
+        "mine", "--algo", "crm", "--k", "2", "--format", "dense",
+        "--input", str(data), "--truth", str(truth),
+        "--output", str(tmp_path / "o"), "--metrics", str(tmp_path / "m"),
+    )
+    assert proc.returncode == 1
+    assert "empty catalogs" in proc.stderr
 
 
 def test_compare_produces_cross_product_rows(tmp_path, sparse_file):

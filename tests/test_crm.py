@@ -1,14 +1,17 @@
+import hashlib
+
 from rolemine import (
     AccessMatrix,
     MiningConfig,
     is_complete,
+    mine_constrained,
     mine_crm,
     satisfies_constraint,
     serialize_decomposition,
 )
 from rolemine.rng import SplitMix64
 
-from conftest import synthetic_instance
+from conftest import guard_instance, synthetic_instance
 
 
 def test_crm_picks_most_popular_cluster_first():
@@ -68,3 +71,42 @@ def test_crm_antichain_returns_rows_by_descending_user_count():
     ]
     counts = [sum(1 for s in d.ua if r.id in s) for r in d.roles]
     assert counts == sorted(counts, reverse=True)
+
+
+# Golden outputs: SHA-256 of serialize_decomposition, pinned from the
+# straightforward re-cluster-every-round loop.  Any change to the greedy
+# loop must reproduce these bytes exactly.
+
+def _sha(d):
+    return hashlib.sha256(serialize_decomposition(d).encode()).hexdigest()
+
+
+def test_crm_guard_instance_bytes_pinned():
+    upa = guard_instance()
+    cfg = MiningConfig(max_perms_per_role=20)
+    raw = mine_crm(upa, cfg, lattice=False)
+    assert raw.r_count() == 643
+    assert _sha(raw) == (
+        "808a865cbead81f2f7807b1764b1c94ffc9b9a19599cf8ee2bff1e68a62effb6"
+    )
+    reduced = mine_crm(upa, cfg)
+    assert reduced.r_count() == 191
+    assert _sha(reduced) == (
+        "397f357f4bc24b0a724e725aa8fc0cc8f851cc402bd24f8296a7a4443ce59fd5"
+    )
+
+
+def test_both_miners_bytes_pinned_on_synthetic_instances():
+    meta = SplitMix64(2024)
+    acc = {mine_constrained: hashlib.sha256(), mine_crm: hashlib.sha256()}
+    for _ in range(40):
+        upa, _, k = synthetic_instance(meta)
+        cfg = MiningConfig(max_perms_per_role=k)
+        for miner, h in acc.items():
+            h.update(serialize_decomposition(miner(upa, cfg)).encode())
+    assert acc[mine_constrained].hexdigest() == (
+        "4633ab026d07757e830cc4de5a297edb52a43b68a5ef4df25d36a0762435aff7"
+    )
+    assert acc[mine_crm].hexdigest() == (
+        "8268a2cbc5564694e7e93bd89a70d89c22120d1a75b32e9429d0b71bf7ae335b"
+    )

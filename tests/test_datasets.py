@@ -17,7 +17,7 @@ from rolemine import (
     serialize_sparse,
     witness_assignment,
 )
-from rolemine.datasets import has_non_numeric_tokens
+from rolemine.datasets import has_non_numeric_tokens, relabel_catalog
 
 
 # --- sparse format -----------------------------------------------------------
@@ -137,6 +137,18 @@ def test_catalog_round_trip():
 def test_parse_catalog_rejects_garbage():
     with pytest.raises(ParseError):
         parse_catalog("user 0: r1\n")
+
+
+def test_relabel_catalog_follows_the_input_tokens():
+    names = parse_sparse("u0 p7\nu0 p2\nu1 p9\n").perm_names
+    catalog = parse_catalog("role 0: p2 p7\nrole 1: p5 p9 p6\n")
+    # p7 -> 0, p2 -> 1, p9 -> 2; p5 and p6 name no input permission and get
+    # distinct indices past the matrix
+    assert relabel_catalog(catalog, names) == (
+        frozenset({0, 1}), frozenset({2, 3, 4}),
+    )
+    numeric = parse_sparse("1 7\n1 2\n").perm_names
+    assert relabel_catalog(catalog[:1], numeric) == (frozenset({0, 1}),)
 
 
 # --- generator ---------------------------------------------------------------

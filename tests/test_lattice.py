@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from rolemine import (
@@ -15,7 +17,7 @@ from rolemine import (
 )
 from rolemine.rng import SplitMix64
 
-from conftest import synthetic_instance
+from conftest import guard_instance, synthetic_instance
 
 
 def test_removes_role_whose_cells_are_covered_elsewhere():
@@ -72,3 +74,16 @@ def test_never_regresses_on_mined_outputs():
             )
             again = lattice_reduce(upa, out, k)
             assert serialize_decomposition(again) == serialize_decomposition(out)
+
+
+def test_lattice_after_constrained_guard_bytes_pinned():
+    # SHA-256 of serialize_decomposition, pinned from the catalog-scanning
+    # reassignment; the row-indexed pass must reproduce these bytes.
+    upa = guard_instance()
+    raw = mine_constrained(upa, MiningConfig(max_perms_per_role=20), lattice=False)
+    out = lattice_reduce(upa, raw, 20)
+    assert out.r_count() == 122
+    digest = hashlib.sha256(serialize_decomposition(out).encode()).hexdigest()
+    assert digest == (
+        "4de7b92486296559ae9261980da0361993950f07213454479ce936790e95f279"
+    )

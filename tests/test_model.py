@@ -59,6 +59,14 @@ def test_role_requires_nonempty_perms():
         Role(0, frozenset())
 
 
+def test_role_mask_is_stored_outside_the_fields():
+    role = Role(4, [1, 3])
+    assert role.mask == 0b1010
+    assert role == Role(4, frozenset({1, 3}))
+    assert hash(role) == hash(Role(4, frozenset({1, 3})))
+    assert repr(role) == "Role(id=4, perms=frozenset({1, 3}))"
+
+
 def test_decomposition_rejects_dangling_role_id():
     with pytest.raises(InvalidDecompositionError):
         Decomposition(roles=(Role(0, frozenset({1})),), ua=(frozenset({5}),))
