@@ -22,7 +22,7 @@ from .datasets import (
     GeneratorParams,
     ParseError,
     generate,
-    has_non_numeric_tokens,
+    names_are_indices,
     parse_catalog,
     parse_dense,
     parse_sparse,
@@ -97,9 +97,9 @@ def cmd_mine(args: argparse.Namespace) -> int:
     _write_text(args.output, serialize_decomposition(d))
     payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
     _write_text(args.metrics, payload)
-    if sparse_result is not None and (
-        has_non_numeric_tokens(sparse_result.user_names)
-        or has_non_numeric_tokens(sparse_result.perm_names)
+    if sparse_result is not None and not (
+        names_are_indices(sparse_result.user_names)
+        and names_are_indices(sparse_result.perm_names)
     ):
         names = {
             "users": list(sparse_result.user_names),

@@ -12,6 +12,14 @@ Pipeline for one matrix:
 Every ordering below is total, so mining is a pure function of the matrix
 and the config: rerunning serializes byte-identically.
 
+Union elimination reads "which roles lie inside role r" from a subset index.
+Roles are addressed by position in (size descending, sorted permission
+tuple) order, and each permission has a vertical bitmap over positions (a
+tid-list in the sense of Zaki, "Scalable algorithms for association mining",
+TKDE 2000).  ANDing a role's columns gives its supersets; inverting that
+relation gives per role the ascending positions of its subsets, which is
+the largest-first order the greedy cover takes, so no sort is needed.
+
 Split policy for an oversized candidate: greedily take existing roles that
 fit inside the uncovered remainder (largest first, ties by lexicographically
 smallest permission tuple), then cut what is left into consecutive chunks of
@@ -82,13 +90,20 @@ def eliminate_union_roles(
     Roles are visited largest first; a removable role's users are handed the
     covering roles, chosen greedily largest first.  Because covers consist of
     strictly smaller roles, one descending sweep reaches the fixpoint.
+
+    The roles inside each role come from a subset index over positions in
+    visiting order.  One int bitmap per permission has bit i set when role i
+    holds it; a role's supersets are the AND of its columns, rarest first,
+    stopping once only its own bit is left.  Inverted, this gives each role
+    its subsets as an ascending position list: largest first with ties by
+    permission tuple, the cover order, so the cover is the one a sort of
+    the contained roles would give.
     """
     d_in = Decomposition(roles=tuple(roles), ua=tuple(frozenset(s) for s in ua))
     if not is_complete(upa, d_in):
         raise IncompleteDecompositionError(
             "eliminate_union_roles requires a complete decomposition"
         )
-    masks = {r.id: r.mask for r in d_in.roles}
     user_roles = [set(s) for s in d_in.ua]
     role_users: dict[int, set[int]] = {r.id: set() for r in d_in.roles}
     for u, s in enumerate(user_roles):
@@ -98,42 +113,51 @@ def eliminate_union_roles(
     by_key = sorted(
         d_in.roles, key=lambda r: (-len(r.perms), r.sorted_perms())
     )
-    # Subset candidates for a role are strictly smaller, hence visited later
-    # and still present when it is checked; a static index is safe.
-    by_min_perm: dict[int, list[Role]] = {}
-    for r in by_key:
-        by_min_perm.setdefault(min(r.perms), []).append(r)
+    pos_masks = [r.mask for r in by_key]
+    columns: dict[int, int] = {}
+    for i, r in enumerate(by_key):
+        bit = 1 << i
+        for p in r.perms:
+            columns[p] = columns.get(p, 0) | bit
+    counts = {p: col.bit_count() for p, col in columns.items()}
+    # subs[i]: positions of the roles strictly inside role i, ascending.
+    # Filled for j ascending, so each list is in by_key order already.
+    subs: list[list[int]] = [[] for _ in pos_masks]
+    for j, r in enumerate(by_key):
+        own = 1 << j
+        supersets = -1
+        for p in sorted(r.perms, key=counts.__getitem__):
+            supersets &= columns[p]
+            if supersets == own:
+                break
+        for i in iter_bits(supersets ^ own):
+            subs[i].append(j)
 
     removed: set[int] = set()
-    for r in by_key:
-        m = masks[r.id]
-        subs = [
-            s
-            for p in iter_bits(m)
-            for s in by_min_perm.get(p, ())
-            if s.id != r.id and s.id not in removed and masks[s.id] & ~m == 0
-        ]
+    for i, m in enumerate(pos_masks):
+        # Every role in subs[i] is strictly smaller than role i, hence later
+        # in by_key and not yet visited: none of them has been removed.
         union = 0
-        for s in subs:
-            union |= masks[s.id]
+        for j in subs[i]:
+            union |= pos_masks[j]
         if union != m:
             continue
-        subs.sort(key=lambda s: (-len(s.perms), s.sorted_perms()))
         cover = []
         remainder = m
-        for s in subs:
-            if masks[s.id] & remainder:
-                cover.append(s.id)
-                remainder &= ~masks[s.id]
+        for j in subs[i]:
+            if pos_masks[j] & remainder:
+                cover.append(by_key[j].id)
+                remainder &= ~pos_masks[j]
                 if not remainder:
                     break
-        removed.add(r.id)
-        for u in sorted(role_users[r.id]):
-            user_roles[u].discard(r.id)
+        rid = by_key[i].id
+        removed.add(rid)
+        for u in sorted(role_users[rid]):
+            user_roles[u].discard(rid)
             user_roles[u].update(cover)
             for cid in cover:
                 role_users[cid].add(u)
-        del role_users[r.id]
+        del role_users[rid]
 
     kept = tuple(r for r in d_in.roles if r.id not in removed)
     return Decomposition(roles=kept, ua=tuple(frozenset(s) for s in user_roles))

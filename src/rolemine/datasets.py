@@ -20,7 +20,6 @@ pins the instance bytes on every platform.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -33,8 +32,6 @@ from .model import (
     mask_of,
 )
 from .rng import SplitMix64
-
-_NUMERIC = re.compile(r"^\d+$")
 
 
 class ParseError(RoleMiningError):
@@ -62,23 +59,27 @@ class SparseParseResult(NamedTuple):
 
 
 def parse_sparse(text: str) -> SparseParseResult:
-    """Parse "<user> <perm>" lines into a matrix plus name maps."""
+    """Parse "<user> <perm>" lines into a matrix plus name maps.
+
+    One pass: each pair is ORed into its user's mask as the line is read.
+    """
     users: dict[str, int] = {}
     perms: dict[str, int] = {}
-    pairs: set[tuple[int, int]] = set()
-    for line_no, line in _logical_lines(text):
-        tokens = line.split()
+    masks: list[int] = []
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
         if len(tokens) != 2:
             raise ParseError(
                 line_no, f"expected 2 tokens (user, perm), got {len(tokens)}"
             )
         u_tok, p_tok = tokens
-        u = users.setdefault(u_tok, len(users))
-        p = perms.setdefault(p_tok, len(perms))
-        pairs.add((u, p))
-    masks = [0] * len(users)
-    for u, p in pairs:
-        masks[u] |= 1 << p
+        u = users.get(u_tok)
+        if u is None:
+            u = users[u_tok] = len(masks)
+            masks.append(0)
+        masks[u] |= 1 << perms.setdefault(p_tok, len(perms))
     matrix = AccessMatrix(n_users=len(users), n_perms=len(perms), masks=tuple(masks))
     return SparseParseResult(matrix, tuple(users), tuple(perms))
 
@@ -98,8 +99,10 @@ def serialize_sparse(
     return "".join(line + "\n" for line in lines)
 
 
-def has_non_numeric_tokens(names: Iterable[str]) -> bool:
-    return any(not _NUMERIC.match(n) for n in names)
+def names_are_indices(names: Iterable[str]) -> bool:
+    """True iff the token at index i is str(i) for every i, so the parsed
+    indices already are the tokens and no name map is needed."""
+    return all(n == str(i) for i, n in enumerate(names))
 
 
 def parse_dense(text: str) -> AccessMatrix:

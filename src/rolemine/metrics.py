@@ -28,6 +28,7 @@ from .model import (
     MiningConfig,
     RoleMiningError,
     is_complete,
+    mask_of,
 )
 
 JSON_FIELDS = (
@@ -105,10 +106,24 @@ def accuracy_distance(
         )
     mined_lookup = set(mined_sets)
     matched = sum(1 for t in truth_sets if t in mined_lookup)
+    # Best Jaccard by integer cross-multiplication over bitmasks, one
+    # Fraction per truth role.  Bits come from a local index, so any
+    # integers work as permissions, negative ones included.
+    bit = {p: i for i, p in enumerate(frozenset().union(*mined_sets, *truth_sets))}
+    mined_masks = [(mask_of(bit[p] for p in m), len(m)) for m in mined_sets]
     total = Fraction(0)
     for t in truth_sets:
-        best = max(jaccard(t, m) for m in mined_sets)
-        total += 1 - best
+        tm, tn = mask_of(bit[p] for p in t), len(t)
+        best_inter, best_union = 0, 1
+        for mm, mn in mined_masks:
+            inter = (tm & mm).bit_count()
+            union = tn + mn - inter
+            if not union:  # both empty: jaccard's 1
+                best_inter = best_union = 1
+                break
+            if inter * best_union > best_inter * union:
+                best_inter, best_union = inter, union
+        total += 1 - Fraction(best_inter, best_union)
     n = len(truth_sets)
     return Fraction(matched, n), total / n
 

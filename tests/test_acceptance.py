@@ -262,7 +262,8 @@ def test_criterion_6_comparison_record(tmp_path):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(COMPARE_HEADER)
         writer.writerows(rows)
-    parsed = list(csv.reader(open(out)))
+    with open(out, newline="") as fh:
+        parsed = list(csv.reader(fh))
     assert parsed[0] == COMPARE_HEADER
     assert len(parsed) == 1 + 50 * 2 * 2
     for row in parsed[1:]:

@@ -57,6 +57,31 @@ def test_mine_writes_decomposition_and_metrics(tmp_path, sparse_file):
     assert names["users"] == ["u1", "u2", "u3"]
 
 
+
+def test_mine_writes_names_for_integer_tokens_out_of_order(tmp_path):
+    data = tmp_path / "ints.txt"
+    data.write_text("1 7\n1 2\n2 2\n")
+    out = tmp_path / "roles.txt"
+    proc = run_cli(
+        "mine", "--algo", "constrained", "--k", "2", "--input", str(data),
+        "--output", str(out), "--metrics", str(tmp_path / "m.json"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = json.loads((tmp_path / "roles.txt.names.json").read_text())
+    assert names == {"users": ["1", "2"], "perms": ["7", "2"]}
+
+
+def test_mine_writes_no_names_for_index_tokens(tmp_path):
+    data = tmp_path / "ints.txt"
+    data.write_text("0 0\n0 1\n1 1\n")
+    out = tmp_path / "roles.txt"
+    proc = run_cli(
+        "mine", "--algo", "constrained", "--k", "2", "--input", str(data),
+        "--output", str(out), "--metrics", str(tmp_path / "m.json"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert not (tmp_path / "roles.txt.names.json").exists()
+
 def test_mine_rejects_k_zero(tmp_path, sparse_file):
     proc = run_cli(
         "mine", "--algo", "crm", "--k", "0",

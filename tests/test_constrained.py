@@ -1,6 +1,9 @@
+import hashlib
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rolemine import (
     AccessMatrix,
@@ -18,9 +21,10 @@ from rolemine import (
     satisfies_constraint,
     serialize_decomposition,
 )
+from rolemine.model import iter_bits, perm_set
 from rolemine.rng import SplitMix64
 
-from conftest import synthetic_instance
+from conftest import guard_instance, synthetic_instance
 
 
 def brute_force_union_cover(target: frozenset, others: list[frozenset]) -> bool:
@@ -119,19 +123,24 @@ def test_union_elimination_requires_completeness():
         eliminate_union_roles((Role(0, frozenset({0})),), [{0}], upa)
 
 
+def _candidate_catalog(upa):
+    pool = initial_candidates(upa)
+    roles = tuple(Role(c.order, c.perms) for c in pool.candidates)
+    ua = [set() for _ in range(upa.n_users)]
+    for c in pool.candidates:
+        for u in c.users:
+            ua[u].add(c.order)
+    return roles, ua
+
+
 def test_union_elimination_is_idempotent():
     meta = SplitMix64(2024)
     for _ in range(25):
         upa, _, _ = synthetic_instance(meta, min_users=5, max_users=30,
                                        min_perms=4, max_perms=12)
-        pool = initial_candidates(upa)
-        if not pool.candidates:
+        roles, ua = _candidate_catalog(upa)
+        if not roles:
             continue
-        roles = tuple(Role(c.order, c.perms) for c in pool.candidates)
-        ua = [set() for _ in range(upa.n_users)]
-        for c in pool.candidates:
-            for u in c.users:
-                ua[u].add(c.order)
         once = eliminate_union_roles(roles, ua, upa)
         twice = eliminate_union_roles(once.roles, once.ua, upa)
         assert serialize_decomposition(twice) == serialize_decomposition(once)
@@ -164,6 +173,102 @@ def test_union_elimination_matches_brute_force_on_random_catalogs():
             assert (s not in survivors) == brute_force_union_cover(s, others)
         assert is_complete(upa, d)
 
+
+def test_union_elimination_bytes_pinned_on_guard_instance():
+    upa = guard_instance()
+    roles, ua = _candidate_catalog(upa)
+    d = eliminate_union_roles(roles, ua, upa)
+    assert (len(roles), d.r_count()) == (1626, 157)
+    digest = hashlib.sha256(serialize_decomposition(d).encode()).hexdigest()
+    assert digest == (
+        "dbc1947cea6e77d9a7827094e2b4d9a295ae34fb6e6e83f4739b3d505278e600"
+    )
+
+
+def _reference_eliminate_union_roles(roles, ua, upa):
+    """Union elimination as a scan of per-minimum-permission buckets: every
+    role inside the target is collected, then sorted into cover order."""
+    d_in = Decomposition(roles=tuple(roles), ua=tuple(frozenset(s) for s in ua))
+    assert is_complete(upa, d_in)
+    masks = {r.id: r.mask for r in d_in.roles}
+    user_roles = [set(s) for s in d_in.ua]
+    role_users = {r.id: set() for r in d_in.roles}
+    for u, s in enumerate(user_roles):
+        for rid in s:
+            role_users[rid].add(u)
+    by_key = sorted(d_in.roles, key=lambda r: (-len(r.perms), r.sorted_perms()))
+    by_min_perm = {}
+    for r in by_key:
+        by_min_perm.setdefault(min(r.perms), []).append(r)
+    removed = set()
+    for r in by_key:
+        m = masks[r.id]
+        subs = [
+            s
+            for p in iter_bits(m)
+            for s in by_min_perm.get(p, ())
+            if s.id != r.id and s.id not in removed and masks[s.id] & ~m == 0
+        ]
+        union = 0
+        for s in subs:
+            union |= masks[s.id]
+        if union != m:
+            continue
+        subs.sort(key=lambda s: (-len(s.perms), s.sorted_perms()))
+        cover = []
+        remainder = m
+        for s in subs:
+            if masks[s.id] & remainder:
+                cover.append(s.id)
+                remainder &= ~masks[s.id]
+                if not remainder:
+                    break
+        removed.add(r.id)
+        for u in sorted(role_users[r.id]):
+            user_roles[u].discard(r.id)
+            user_roles[u].update(cover)
+            for cid in cover:
+                role_users[cid].add(u)
+        del role_users[r.id]
+    kept = tuple(r for r in d_in.roles if r.id not in removed)
+    return Decomposition(roles=kept, ua=tuple(frozenset(s) for s in user_roles))
+
+
+@st.composite
+def _shuffled_catalogs(draw):
+    """A distinct-set catalog whose ids are a random permutation, so id order
+    differs from (size, permission tuple) order, plus users that hold each
+    role alone and a few that hold several."""
+    n_perms = draw(st.integers(1, 8))
+    masks = draw(
+        st.lists(st.integers(1, (1 << n_perms) - 1), min_size=1, max_size=14,
+                 unique=True)
+    )
+    ids = draw(st.permutations(range(len(masks))))
+    extra = draw(
+        st.lists(st.sets(st.integers(0, len(masks) - 1), min_size=1, max_size=4),
+                 max_size=6)
+    )
+    held = [{i} for i in range(len(masks))] + extra
+    roles = tuple(Role(ids[i], perm_set(m)) for i, m in enumerate(masks))
+    ua = [{ids[i] for i in s} for s in held]
+    rows = []
+    for s in held:
+        row = 0
+        for i in s:
+            row |= masks[i]
+        rows.append(row)
+    upa = AccessMatrix(n_users=len(rows), n_perms=n_perms, masks=tuple(rows))
+    return roles, ua, upa
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shuffled_catalogs())
+def test_union_elimination_matches_bucket_scan_reference(catalog):
+    roles, ua, upa = catalog
+    assert eliminate_union_roles(roles, ua, upa) == (
+        _reference_eliminate_union_roles(roles, ua, upa)
+    )
 
 # --- enforce_cardinality -----------------------------------------------------
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rolemine import (
     AccessMatrix,
@@ -17,7 +19,11 @@ from rolemine import (
     serialize_sparse,
     witness_assignment,
 )
-from rolemine.datasets import has_non_numeric_tokens, relabel_catalog
+from rolemine.datasets import (
+    SparseParseResult,
+    names_are_indices,
+    relabel_catalog,
+)
 
 
 # --- sparse format -----------------------------------------------------------
@@ -60,9 +66,57 @@ def test_sparse_round_trip():
     assert serialize_sparse(second.matrix, second.user_names, second.perm_names) == canon
 
 
-def test_non_numeric_token_detection():
-    assert has_non_numeric_tokens(("alice", "0"))
-    assert not has_non_numeric_tokens(("0", "42"))
+
+def _reference_parse_sparse(text):
+    """Two passes: collect the distinct (user, perm) index pairs, then OR
+    them into masks."""
+    users, perms, pairs = {}, {}, set()
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise ParseError(
+                line_no, f"expected 2 tokens (user, perm), got {len(tokens)}"
+            )
+        u = users.setdefault(tokens[0], len(users))
+        p = perms.setdefault(tokens[1], len(perms))
+        pairs.add((u, p))
+    masks = [0] * len(users)
+    for u, p in pairs:
+        masks[u] |= 1 << p
+    matrix = AccessMatrix(n_users=len(users), n_perms=len(perms), masks=tuple(masks))
+    return SparseParseResult(matrix, tuple(users), tuple(perms))
+
+
+_SPARSE_TEXT = st.one_of(
+    st.text(),
+    st.lists(
+        st.text(alphabet="ab01 \t#\r\x0b\x1c\u2028", max_size=8), max_size=12
+    ).map("\n".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPARSE_TEXT)
+def test_parse_sparse_fuzz_gives_result_or_parse_error(text):
+    try:
+        want = _reference_parse_sparse(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_sparse(text)
+        assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
+    else:
+        assert parse_sparse(text) == want
+
+def test_names_are_indices_detection():
+    assert not names_are_indices(("alice", "0"))
+    assert not names_are_indices(("0", "42"))
+    assert not names_are_indices(("1", "0"))
+    assert not names_are_indices(("00",))
+    assert names_are_indices(("0", "1", "2"))
+    assert names_are_indices(())
 
 
 def test_serialize_sparse_default_names():

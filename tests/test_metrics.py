@@ -121,6 +121,26 @@ def test_accuracy_distance_stay_in_unit_interval(mined, truth):
         assert all(frozenset(t) in exact for t in truth)
 
 
+
+def _reference_accuracy_distance(mined, truth):
+    total = sum(1 - max(jaccard(t, m) for m in mined) for t in truth)
+    matched = sum(1 for t in truth if t in set(mined))
+    return Fraction(matched, len(truth)), Fraction(total) / len(truth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.frozensets(st.integers(-2, 9), max_size=6), min_size=1,
+             max_size=8),
+    st.lists(st.frozensets(st.integers(-2, 9), max_size=6), min_size=1,
+             max_size=8),
+)
+def test_accuracy_distance_matches_pairwise_jaccard(mined, truth):
+    got = accuracy_distance(mined, truth)
+    want = _reference_accuracy_distance(mined, truth)
+    assert got == want
+    assert tuple(map(str, got)) == tuple(map(str, want))
+
 # --- permutation invariance --------------------------------------------------
 
 def test_measure_invariant_under_index_permutations():
