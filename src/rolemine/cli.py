@@ -80,6 +80,14 @@ def cmd_mine(args: argparse.Namespace) -> int:
         truth = parse_catalog(Path(args.truth).read_text(encoding="utf-8"))
         if sparse_result is not None:
             truth = relabel_catalog(truth, sparse_result.perm_names)
+        else:
+            outside = [p for role in truth for p in role if not 0 <= p < upa.n_perms]
+            if outside:
+                _log(
+                    f"error: truth permission p{min(outside)} is outside the "
+                    f"{upa.n_perms} permissions of the dense input"
+                )
+                return 1
     cfg = MiningConfig(max_perms_per_role=args.k, seed=args.seed)
     miner = _MINERS[args.algo]
     start = time.perf_counter()

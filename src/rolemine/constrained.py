@@ -12,20 +12,34 @@ Pipeline for one matrix:
 Every ordering below is total, so mining is a pure function of the matrix
 and the config: rerunning serializes byte-identically.
 
-Union elimination reads "which roles lie inside role r" from a subset index.
-Roles are addressed by position in (size descending, sorted permission
-tuple) order, and each permission has a vertical bitmap over positions (a
-tid-list in the sense of Zaki, "Scalable algorithms for association mining",
-TKDE 2000).  ANDing a role's columns gives its supersets; inverting that
-relation gives per role the ascending positions of its subsets, which is
-the largest-first order the greedy cover takes, so no sort is needed.
+All stages run on one distinct-row index (rolemine._rowindex): each
+distinct nonempty row once, with its users, mask and permission tuple, in
+(size descending, sorted permission tuple) order, plus one vertical bitmap
+per permission over those positions (a tid-list in the sense of Zaki,
+"Scalable algorithms for association mining", TKDE 2000) and the user
+frequency of each permission.  The candidates are the index rows; a
+candidate's id is its rank in (size ascending, smallest user) order.  Every
+user of a row holds the same roles through union elimination, the split
+and the lattice, so assignments are kept per row and expanded to users
+once, at the end.
+
+Union elimination reads "which candidates lie inside candidate r" from the
+index: ANDing r's columns gives its supersets, and inverting that relation
+gives per candidate the ascending positions of its subsets, which is the
+largest-first order the greedy cover takes, so no sort is needed.
 
 Split policy for an oversized candidate: greedily take existing roles that
 fit inside the uncovered remainder (largest first, ties by lexicographically
 smallest permission tuple), then cut what is left into consecutive chunks of
 at most k permissions, ordered by descending global permission frequency in
 the matrix (ties by ascending index).  Grouping frequent permissions keeps
-chunks reusable for later candidates.
+chunks reusable for later candidates.  A pool role that does not fit the
+remainder never fits again, so one pass over the pool in that order makes
+the same picks as repeatedly taking the best fitting role.
+
+The public stages (`initial_candidates`, `eliminate_union_roles`,
+`enforce_cardinality`) run the same cores on their arguments;
+`eliminate_union_roles` groups users by the roles they hold.
 """
 
 from __future__ import annotations
@@ -34,7 +48,16 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .lattice import lattice_reduce
+from ._rowindex import (
+    RowIndex,
+    candidate_order,
+    distinct_rows_by_size,
+    per_user,
+    rarest_first_and,
+    role_holders,
+    vertical,
+)
+from .lattice import reduce_rows
 from .model import (
     AccessMatrix,
     Decomposition,
@@ -42,8 +65,8 @@ from .model import (
     MiningConfig,
     Role,
     is_complete,
-    iter_bits,
-    perm_set,
+    mask_of,
+    perm_tuple,
 )
 
 
@@ -67,17 +90,65 @@ def initial_candidates(upa: AccessMatrix) -> CandidatePool:
     Ties break on the smallest member user index, so the processing order is
     reproducible for any matrix.
     """
-    groups: dict[int, list[int]] = {}
-    for u, m in enumerate(upa.masks):
-        if m:
-            groups.setdefault(m, []).append(u)
-    ordered = sorted(groups.items(), key=lambda kv: (kv[0].bit_count(), kv[1][0]))
+    rows = distinct_rows_by_size(upa)
+    perms = [row[0] for row in rows]
+    users = [row[2] for row in rows]
     return CandidatePool(
         candidates=tuple(
-            Candidate(perms=perm_set(m), users=tuple(users), order=i)
-            for i, (m, users) in enumerate(ordered)
+            Candidate(perms=frozenset(perms[i]), users=tuple(users[i]), order=rank)
+            for rank, i in enumerate(candidate_order(perms, users))
         )
     )
+
+
+def _eliminate(
+    masks: Sequence[int],
+    perms: Sequence[tuple[int, ...]],
+    columns: Sequence[int],
+    counts: Sequence[int],
+    held: list[set[int]],
+) -> list[bool]:
+    """Union elimination over roles in visiting order; returns which roles
+    were removed.
+
+    Roles are given by mask and permission tuple, largest first and ties by
+    permission tuple; `columns` and `counts` index them by permission.
+    ``held[g]`` is the set of roles group g holds and is updated in place.
+    """
+    # subs[i]: positions of the roles strictly inside role i, ascending.
+    # Filled for j ascending, so each list is in visiting order already.
+    subs: list[list[int]] = [[] for _ in masks]
+    for j, t in enumerate(perms):
+        own = 1 << j
+        for i in perm_tuple(rarest_first_and(t, columns, counts, own) ^ own):
+            subs[i].append(j)
+    holders = role_holders(held, len(masks))
+
+    removed = [False] * len(masks)
+    for i, m in enumerate(masks):
+        # Every role in subs[i] is strictly smaller than role i, hence later
+        # in the visiting order and not yet visited: none has been removed.
+        union = 0
+        for j in subs[i]:
+            union |= masks[j]
+        if union != m:
+            continue
+        cover = []
+        remainder = m
+        for j in subs[i]:
+            if masks[j] & remainder:
+                cover.append(j)
+                remainder &= ~masks[j]
+                if not remainder:
+                    break
+        removed[i] = True
+        for g in holders[i]:
+            held[g].discard(i)
+            held[g].update(cover)
+            for c in cover:
+                holders[c].add(g)
+        holders[i] = set()
+    return removed
 
 
 def eliminate_union_roles(
@@ -97,70 +168,58 @@ def eliminate_union_roles(
     stopping once only its own bit is left.  Inverted, this gives each role
     its subsets as an ascending position list: largest first with ties by
     permission tuple, the cover order, so the cover is the one a sort of
-    the contained roles would give.
+    the contained roles would give.  Users holding the same roles are
+    handled as one group.
     """
     d_in = Decomposition(roles=tuple(roles), ua=tuple(frozenset(s) for s in ua))
     if not is_complete(upa, d_in):
         raise IncompleteDecompositionError(
             "eliminate_union_roles requires a complete decomposition"
         )
-    user_roles = [set(s) for s in d_in.ua]
-    role_users: dict[int, set[int]] = {r.id: set() for r in d_in.roles}
-    for u, s in enumerate(user_roles):
-        for rid in s:
-            role_users[rid].add(u)
-
-    by_key = sorted(
-        d_in.roles, key=lambda r: (-len(r.perms), r.sorted_perms())
+    keyed = sorted(
+        ((r.sorted_perms(), r) for r in d_in.roles), key=lambda e: (-len(e[0]), e[0])
     )
-    pos_masks = [r.mask for r in by_key]
-    columns: dict[int, int] = {}
-    for i, r in enumerate(by_key):
-        bit = 1 << i
-        for p in r.perms:
-            columns[p] = columns.get(p, 0) | bit
-    counts = {p: col.bit_count() for p, col in columns.items()}
-    # subs[i]: positions of the roles strictly inside role i, ascending.
-    # Filled for j ascending, so each list is in by_key order already.
-    subs: list[list[int]] = [[] for _ in pos_masks]
-    for j, r in enumerate(by_key):
-        own = 1 << j
-        supersets = -1
-        for p in sorted(r.perms, key=counts.__getitem__):
-            supersets &= columns[p]
-            if supersets == own:
+    perms = [t for t, _ in keyed]
+    by_key = [r for _, r in keyed]
+    position = {r.id: i for i, r in enumerate(by_key)}
+    groups: dict[frozenset[int], list[int]] = {}
+    for u, assigned in enumerate(d_in.ua):
+        groups.setdefault(assigned, []).append(u)
+    held = [{position[rid] for rid in assigned} for assigned in groups]
+    columns, counts = vertical(perms, upa.n_perms)
+    removed = _eliminate([r.mask for r in by_key], perms, columns, counts, held)
+
+    kept = tuple(r for r in d_in.roles if not removed[position[r.id]])
+    ua_out = per_user(
+        groups.values(),
+        ({by_key[i].id for i in assigned} for assigned in held),
+        upa.n_users,
+    )
+    return Decomposition(roles=kept, ua=ua_out)
+
+
+def _split(
+    mask: int, pool: Sequence[int], k: int, freq: Sequence[int]
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Cover an oversized mask: the positions of the pool masks taken, then
+    the fresh chunks of what is left.
+
+    `pool` holds masks inside `mask` in cover order, largest first and ties
+    by permission tuple.  A mask that does not fit the remainder never fits
+    again, since the remainder only shrinks, so one pass in that order takes
+    what repeatedly taking the first fitting mask would.
+    """
+    taken = []
+    remainder = mask
+    for i, e in enumerate(pool):
+        if e & ~remainder == 0:
+            taken.append(i)
+            remainder &= ~e
+            if not remainder:
                 break
-        for i in iter_bits(supersets ^ own):
-            subs[i].append(j)
-
-    removed: set[int] = set()
-    for i, m in enumerate(pos_masks):
-        # Every role in subs[i] is strictly smaller than role i, hence later
-        # in by_key and not yet visited: none of them has been removed.
-        union = 0
-        for j in subs[i]:
-            union |= pos_masks[j]
-        if union != m:
-            continue
-        cover = []
-        remainder = m
-        for j in subs[i]:
-            if pos_masks[j] & remainder:
-                cover.append(by_key[j].id)
-                remainder &= ~pos_masks[j]
-                if not remainder:
-                    break
-        rid = by_key[i].id
-        removed.add(rid)
-        for u in sorted(role_users[rid]):
-            user_roles[u].discard(rid)
-            user_roles[u].update(cover)
-            for cid in cover:
-                role_users[cid].add(u)
-        del role_users[rid]
-
-    kept = tuple(r for r in d_in.roles if r.id not in removed)
-    return Decomposition(roles=kept, ua=tuple(frozenset(s) for s in user_roles))
+    leftover = sorted(perm_tuple(remainder), key=lambda p: (-freq[p], p))
+    chunks = [tuple(sorted(leftover[i : i + k])) for i in range(0, len(leftover), k)]
+    return taken, chunks
 
 
 def enforce_cardinality(
@@ -181,32 +240,16 @@ def enforce_cardinality(
         raise ValueError("k must be >= 1")
     if len(cand) <= k:
         return [cand]
-    pool = [e for e in existing if e <= cand]
-    reused: list[frozenset[int]] = []
-    remainder = set(cand)
-    while True:
-        fits = [e for e in pool if e <= remainder]
-        if not fits:
-            break
-        best = min(fits, key=lambda e: (-len(e), tuple(sorted(e))))
-        reused.append(best)
-        remainder -= best
-    if freq is None:
-        leftover = sorted(remainder)
-    else:
-        leftover = sorted(remainder, key=lambda p: (-freq[p], p))
-    chunks = [
-        frozenset(leftover[i : i + k]) for i in range(0, len(leftover), k)
-    ]
-    return reused + chunks
-
-
-def _perm_frequencies(upa: AccessMatrix) -> list[int]:
-    freq = [0] * upa.n_perms
-    for m in upa.masks:
-        for p in iter_bits(m):
-            freq[p] += 1
-    return freq
+    pool = sorted(
+        (e for e in existing if e <= cand), key=lambda e: (-len(e), sorted(e))
+    )
+    taken, chunks = _split(
+        mask_of(cand),
+        [mask_of(e) for e in pool],
+        k,
+        [0] * (max(cand) + 1) if freq is None else freq,
+    )
+    return [pool[i] for i in taken] + [frozenset(c) for c in chunks]
 
 
 def mine_constrained(
@@ -215,52 +258,51 @@ def mine_constrained(
     """Run the full pipeline; always returns a complete decomposition whose
     roles all have at most cfg.max_perms_per_role permissions."""
     k = cfg.max_perms_per_role
-    pool = initial_candidates(upa)
-    if not pool.candidates:
-        return Decomposition.empty(upa.n_users)
+    index = RowIndex(upa)
+    # Row i starts out holding candidate role i, the row itself.
+    held = [{i} for i in range(len(index.masks))]
+    removed = _eliminate(index.masks, index.perms, index.columns, index.counts, held)
 
-    roles0 = tuple(Role(c.order, c.perms) for c in pool.candidates)
-    ua0: list[set[int]] = [set() for _ in range(upa.n_users)]
-    for c in pool.candidates:
-        for u in c.users:
-            ua0[u].add(c.order)
-    d1 = eliminate_union_roles(roles0, ua0, upa)
+    cat_masks: list[int] = []
+    cat_perms: list[tuple[int, ...]] = []
+    ids: dict[int, int] = {}
+    by_min_perm: dict[int, list[int]] = {}
 
-    freq = _perm_frequencies(upa)
-    catalog: list[frozenset[int]] = []
-    index: dict[frozenset[int], int] = {}
-    by_min_perm: dict[int, list[frozenset[int]]] = {}
+    def _add(m: int, perms: tuple[int, ...]) -> int:
+        cid = ids.get(m)
+        if cid is None:
+            cid = ids[m] = len(cat_masks)
+            cat_masks.append(m)
+            cat_perms.append(perms)
+            by_min_perm.setdefault(perms[0], []).append(cid)
+        return cid
 
-    def _add(perms: frozenset[int]) -> int:
-        rid = index.get(perms)
-        if rid is None:
-            rid = len(catalog)
-            index[perms] = rid
-            catalog.append(perms)
-            by_min_perm.setdefault(min(perms), []).append(perms)
-        return rid
-
-    piece_ids: dict[int, tuple[int, ...]] = {}
-    for r in sorted(d1.roles, key=lambda r: r.id):  # candidate order
-        if len(r.perms) <= k:
-            piece_ids[r.id] = (_add(r.perms),)
+    pieces: dict[int, tuple[int, ...]] = {}
+    for i in candidate_order(index.perms, index.users):
+        if removed[i]:
             continue
-        reusable = [
-            e
-            for p in sorted(r.perms)
-            for e in by_min_perm.get(p, ())
-            if e <= r.perms
+        m, perms = index.masks[i], index.perms[i]
+        if len(perms) <= k:
+            pieces[i] = (_add(m, perms),)
+            continue
+        pool = [
+            c for p in perms for c in by_min_perm.get(p, ()) if cat_masks[c] & ~m == 0
         ]
-        pieces = enforce_cardinality(r.perms, reusable, k, freq=freq)
-        piece_ids[r.id] = tuple(_add(p) for p in pieces)
+        pool.sort(key=lambda c: (-len(cat_perms[c]), cat_perms[c]))
+        taken, chunks = _split(m, [cat_masks[c] for c in pool], k, index.freq)
+        pieces[i] = tuple(pool[j] for j in taken) + tuple(
+            _add(mask_of(c), c) for c in chunks
+        )
 
-    ua = tuple(
-        frozenset(chain.from_iterable(piece_ids[rid] for rid in d1.ua[u]))
-        for u in range(upa.n_users)
-    )
-    d = Decomposition(
-        roles=tuple(Role(i, s) for i, s in enumerate(catalog)), ua=ua
-    )
+    roles = [set(chain.from_iterable(pieces[c] for c in cands)) for cands in held]
+    keep = [True] * len(cat_masks)
     if lattice:
-        d = lattice_reduce(upa, d, k)
-    return d
+        keep = reduce_rows(cat_masks, cat_perms, index.columns, index.counts, roles)
+    return Decomposition(
+        roles=tuple(
+            Role(cid, frozenset(perms))
+            for cid, perms in enumerate(cat_perms)
+            if keep[cid]
+        ),
+        ua=per_user(index.users, roles, upa.n_users),
+    )

@@ -182,6 +182,10 @@ def parse_decomposition(text: str, n_users: int) -> Decomposition:
                 raise ParseError(line_no, f"bad permission token in {line!r}") from None
             if len(role_sets[idx]) != len(items):
                 raise ParseError(line_no, f"bad permission token in {line!r}")
+            if not items:
+                raise ParseError(line_no, "role with no permissions")
+            if min(role_sets[idx]) < 0:
+                raise ParseError(line_no, f"negative permission index in {line!r}")
         else:
             if not 0 <= idx < n_users:
                 raise ParseError(line_no, f"user {idx} out of range")

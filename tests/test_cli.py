@@ -196,6 +196,20 @@ def test_mine_truth_with_empty_catalog_is_data_error(tmp_path):
     assert "empty catalogs" in proc.stderr
 
 
+def test_mine_dense_truth_outside_the_matrix_is_data_error(tmp_path):
+    data = tmp_path / "dense.txt"
+    data.write_text("110\n011\n")
+    truth = tmp_path / "truth.txt"
+    truth.write_text("role 0: p0 p1\nrole 1: p7\n")
+    proc = run_cli(
+        "mine", "--algo", "constrained", "--k", "2", "--format", "dense",
+        "--input", str(data), "--truth", str(truth),
+        "--output", str(tmp_path / "o"), "--metrics", str(tmp_path / "m"),
+    )
+    assert proc.returncode == 1
+    assert "p7" in proc.stderr
+
+
 def test_compare_produces_cross_product_rows(tmp_path, sparse_file):
     out = tmp_path / "table.csv"
     proc = run_cli(

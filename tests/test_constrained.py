@@ -24,7 +24,7 @@ from rolemine import (
 from rolemine.model import iter_bits, perm_set
 from rolemine.rng import SplitMix64
 
-from conftest import guard_instance, synthetic_instance
+from conftest import guard_instance, mixed_instances, synthetic_instance
 
 
 def brute_force_union_cover(target: frozenset, others: list[frozenset]) -> bool:
@@ -270,6 +270,16 @@ def test_union_elimination_matches_bucket_scan_reference(catalog):
         _reference_eliminate_union_roles(roles, ua, upa)
     )
 
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_instances())
+def test_union_elimination_matches_reference_when_row_users_differ(instance):
+    upa, _, d = instance
+    assert eliminate_union_roles(d.roles, d.ua, upa) == (
+        _reference_eliminate_union_roles(d.roles, d.ua, upa)
+    )
+
+
 # --- enforce_cardinality -----------------------------------------------------
 
 def test_split_plain_chunks():
@@ -386,3 +396,23 @@ def test_mine_heuristic_can_be_suboptimal_on_antichains():
     optimum, _ = optimal_role_count(upa, 2)
     assert d.r_count() == 5
     assert optimum == 4
+
+
+@pytest.mark.parametrize(
+    "lattice, r_count, digest",
+    [
+        (False, 314,
+         "de3389052f05fd1f7042e3bbac89ecbda0c52e8a1088568f9e0b25dc4cd30f91"),
+        (True, 282,
+         "16a99d50aee39bcb8c40fc0bcb8307c42219aef9a6808fa1f7f7513aff57cad4"),
+    ],
+)
+def test_mine_constrained_bytes_pinned_on_guard_instance_at_k5(
+    lattice, r_count, digest
+):
+    # k=5, the scale workload's bound: many candidates are split and reuse
+    # catalog roles.
+    d = mine_constrained(guard_instance(), MiningConfig(max_perms_per_role=5),
+                         lattice=lattice)
+    assert d.r_count() == r_count
+    assert hashlib.sha256(serialize_decomposition(d).encode()).hexdigest() == digest

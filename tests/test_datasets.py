@@ -6,6 +6,7 @@ from rolemine import (
     AccessMatrix,
     Decomposition,
     GeneratorParams,
+    InvalidDecompositionError,
     ParseError,
     generate,
     is_complete,
@@ -191,6 +192,66 @@ def test_catalog_round_trip():
 def test_parse_catalog_rejects_garbage():
     with pytest.raises(ParseError):
         parse_catalog("user 0: r1\n")
+
+
+@pytest.mark.parametrize("line", ["role 0:", "role 0: p-1", "role 0: p1 p-3"])
+def test_parse_decomposition_rejects_bad_role_with_line_number(line):
+    with pytest.raises(ParseError) as err:
+        parse_decomposition(f"# header\nrole 1: p0\n{line}\nuser 0: r1\n", 1)
+    assert err.value.line_no == 3
+
+
+# Token soup for the fuzz tests below: the keywords and token shapes the
+# parsers branch on.  Numbers stay short: parse_decomposition turns a
+# permission index into a bit position, so memory grows with its value.
+_TOKENS = st.sampled_from([
+    "role", "user", "0", "1", "-1", "7", "x", ":", "0:", "1:", "p0", "p1",
+    "p3", "p-1", "p", "px", "p1x", "r0", "r1", "r-1", "r", "#", "\t", "",
+])
+_LINE = st.one_of(
+    st.lists(_TOKENS, max_size=6).map(" ".join),
+    st.builds(
+        "{} {}: {}".format,
+        st.sampled_from(["role", "user", "roles"]),
+        st.sampled_from(["0", "1", "2", "-1", "x"]),
+        st.lists(_TOKENS, max_size=4).map(" ".join),
+    ),
+)
+_LINE_SOUP = st.lists(_LINE, max_size=8).map("\n".join)
+_NO_DIGITS = st.text(st.characters(exclude_categories=("Nd",)))
+
+
+def _result_or_parse_error(parse, text, *allowed):
+    try:
+        parse(text)
+    except ParseError as exc:
+        assert exc.line_no >= 1
+        assert str(exc).startswith(f"line {exc.line_no}: ")
+    except allowed:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(st.text(alphabet="01 \t#x", max_size=6), max_size=8).map("\n".join),
+))
+def test_parse_dense_fuzz_gives_result_or_parse_error(text):
+    _result_or_parse_error(parse_dense, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), _LINE_SOUP))
+def test_parse_catalog_fuzz_gives_result_or_parse_error(text):
+    _result_or_parse_error(parse_catalog, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_NO_DIGITS, _LINE_SOUP), st.integers(0, 3))
+def test_parse_decomposition_fuzz_gives_result_or_parse_error(text, n_users):
+    _result_or_parse_error(
+        lambda t: parse_decomposition(t, n_users), text, InvalidDecompositionError
+    )
 
 
 def test_relabel_catalog_follows_the_input_tokens():
