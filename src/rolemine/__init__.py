@@ -38,7 +38,13 @@ from .datasets import (
     witness_assignment,
 )
 from .lattice import lattice_reduce
-from .metrics import MetricsReport, accuracy_distance, jaccard, measure
+from .metrics import (
+    MetricsReport,
+    accuracy_distance,
+    jaccard,
+    measure,
+    role_lower_bound,
+)
 from .model import (
     AccessMatrix,
     ConstraintViolationError,
@@ -92,6 +98,7 @@ __all__ = [
     "parse_decomposition",
     "parse_dense",
     "parse_sparse",
+    "role_lower_bound",
     "satisfies_constraint",
     "serialize_catalog",
     "serialize_decomposition",

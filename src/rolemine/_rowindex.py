@@ -1,12 +1,15 @@
-"""The distinct-row index one constrained mining run works on.
+"""The distinct-row index one mining run works on, for both miners.
 
 Users with identical rows are interchangeable for every stage of the
-constrained pipeline, so the index keeps each distinct nonempty row once,
-with its users, its permission tuple and its mask.  Rows are addressed by
-position in union elimination's order: size descending, then permission
-tuple.  Each permission has a vertical bitmap over positions (an Eclat
-tid-list, Zaki, "Scalable algorithms for association mining", TKDE 2000):
-"the rows that contain permission set S" is the AND of S's columns.
+constrained pipeline and for CRM's greedy loop, whose clusters are sets of
+rows, so the index keeps each distinct nonempty row once, with its users,
+its permission tuple and its mask.  Rows are addressed by position in
+union elimination's order: size descending, then permission tuple.  Each
+permission has a vertical bitmap over positions (an Eclat tid-list, Zaki,
+"Scalable algorithms for association mining", TKDE 2000): "the rows that
+contain permission set S" is the AND of S's columns.  Both miners build
+one index per run and hand its columns to the lattice core; CRM starts its
+uncovered-cell bitmaps and permission frequencies from it.
 
 `eliminate_union_roles` and `lattice_reduce`, which take a decomposition
 whose users of one row may hold different roles, index their own user

@@ -32,7 +32,7 @@ from .datasets import (
     serialize_dense,
     serialize_sparse,
 )
-from .metrics import JSON_FIELDS, measure
+from .metrics import JSON_FIELDS, measure, role_lower_bound
 from .model import MiningConfig, RoleMiningError
 from .oracle import optimal_role_count
 
@@ -62,8 +62,20 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _read_text(path: str) -> str:
+    """A file's text; bytes that are not UTF-8 are a data error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        data = Path(path).read_bytes()
+        raise ParseError(
+            data.count(b"\n", 0, exc.start) + 1,
+            f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})",
+        ) from None
+
+
 def _load_matrix(path: str, fmt: str):
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     if fmt == "sparse":
         result = parse_sparse(text)
         return result.matrix, result
@@ -77,7 +89,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     upa, sparse_result = _load_matrix(args.input, args.format)
     truth = None
     if args.truth:
-        truth = parse_catalog(Path(args.truth).read_text(encoding="utf-8"))
+        truth = parse_catalog(_read_text(args.truth))
         if sparse_result is not None:
             truth = relabel_catalog(truth, sparse_result.perm_names)
         else:
@@ -116,7 +128,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
         _write_text(args.output + ".names.json", json.dumps(names, indent=2) + "\n")
     _log(
         f"{args.algo}: {d.r_count()} roles, |UA|={d.ua_size()}, "
-        f"|PA|={d.pa_size()}, {elapsed_ms:.1f} ms"
+        f"|PA|={d.pa_size()}, {elapsed_ms:.1f} ms, "
+        f"lower bound {role_lower_bound(upa, args.k)}"
     )
     sys.stdout.write(payload)
     return 0

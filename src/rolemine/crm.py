@@ -12,55 +12,79 @@ Deterministic policies:
 - selection ties on user count prefer the larger candidate, then the
   lexicographically smallest permission tuple.
 
-The loop is incremental.  Clusters persist across rounds: a pick moves
-only its holders, which are exactly the clusters whose mask contains it,
-to the cluster of their remaining mask.  The winning key (user count,
-min(|mask|, k)) needs no truncation, so a heap of cluster keys finds the
-clusters tied at the top and only those are truncated.  Truncations are
-cached per cluster mask.  A pick lowers the frequency of its own
-permissions only, so a cached truncation can change only when it contains
-a picked permission; such entries are dropped and every other entry stays
-valid.  The output is that of re-clustering and re-truncating every round.
+The loop runs on the distinct-row index (rolemine._rowindex).  Users of
+one row always share an uncovered set, so a cluster is a set of row
+positions keyed by its uncovered mask, with its user count and one
+representative row.  Clusters persist across rounds: a pick moves only its
+holders to the cluster of their remaining mask.  The holders are found
+without a scan.  Each permission keeps an "uncovered" bitmap over row
+positions (a copy of its index column, an Eclat tid-list in the sense of
+Zaki, TKDE 2000), so the rows still missing every permission of a pick are
+the AND of its at most k bitmaps; ANDed with the bitmap of representative
+rows, that names each holder cluster once.  A moved cluster hands its
+representative to its new mask, and drops it when it merges into an
+existing cluster or is fully covered.
+
+The winning key (user count, min(|mask|, k)) needs no truncation, so a
+heap of cluster keys finds the clusters tied at the top and only those are
+truncated.  A truncation sorts the cluster's permissions by ``rank[p] =
+p - freq[p] * n_perms``, which orders by frequency descending, then index,
+with one int per permission.  Truncations are cached per cluster mask.  A
+pick lowers the frequency (raises the rank) of its own permissions only,
+so a cached truncation can change only when it contains a picked
+permission; such entries are dropped and every other entry stays valid.
+The output is that of re-clustering and re-truncating every round.
+
+Assignments are kept per row and expanded to users once.  With the
+lattice on, the rows' role sets go straight into the lattice core
+(`lattice.reduce_rows`) over the index columns, after a per-row check that
+each row's roles union to its mask; the result equals `lattice_reduce` on
+the raw output.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .lattice import lattice_reduce
+from ._rowindex import RowIndex, per_user
+from .lattice import reduce_rows
 from .model import (
     AccessMatrix,
     Decomposition,
+    IncompleteDecompositionError,
     MiningConfig,
     Role,
-    iter_bits,
     mask_of,
     perm_tuple,
 )
 
 
-def mine_crm(
-    upa: AccessMatrix, cfg: MiningConfig, *, lattice: bool = True
-) -> Decomposition:
-    k = cfg.max_perms_per_role
-    freq = [0] * upa.n_perms
-    clusters: dict[int, list[int]] = {}
-    for u, m in enumerate(upa.masks):
-        if m:
-            clusters.setdefault(m, []).append(u)
-    for m, users in clusters.items():
-        for p in iter_bits(m):
-            freq[p] += len(users)
+def _greedy(
+    index: RowIndex, k: int
+) -> tuple[list[int], list[tuple[int, ...]], list[list[int]]]:
+    """The cover loop over the index rows: each role's mask and permission
+    tuple, and each row's role ids in pick order."""
+    n = len(index.columns)
+    rank = [p - f * n for p, f in enumerate(index.freq)]
+    # uncovered[p]: the rows still missing permission p.
+    uncovered = list(index.columns)
+    # A cluster is keyed by its uncovered mask and named by its
+    # representative row r: rows[r] and users[r] are its row positions and
+    # user count, mask_at[r] its mask; reps has the bit of every
+    # representative set.
+    rows = [[i] for i in range(len(index.masks))]
+    users = [len(group) for group in index.users]
+    mask_at = list(index.masks)
+    reps = (1 << len(rows)) - 1
+    clusters = {m: r for r, m in enumerate(mask_at)}
 
     # (-user count, -min(|mask|, k), mask); an entry is stale once its
     # cluster is gone or has grown.
-    heap: list[tuple[int, int, int]] = []
+    heap = [(-users[r], -min(m.bit_count(), k), m) for m, r in clusters.items()]
+    heapq.heapify(heap)
 
     def push(m: int) -> None:
-        heapq.heappush(heap, (-len(clusters[m]), -min(m.bit_count(), k), m))
-
-    for m in clusters:
-        push(m)
+        heapq.heappush(heap, (-users[clusters[m]], -min(m.bit_count(), k), m))
 
     # cluster mask -> (candidate mask, candidate permission tuple)
     cands: dict[int, tuple[int, tuple[int, ...]]] = {}
@@ -68,25 +92,25 @@ def mine_crm(
     def candidate(m: int) -> tuple[int, tuple[int, ...]]:
         cand = cands.get(m)
         if cand is None:
-            if m.bit_count() <= k:
-                cand = (m, perm_tuple(m))
+            perms = perm_tuple(m)
+            if len(perms) <= k:
+                cand = (m, perms)
             else:
-                top = heapq.nsmallest(k, iter_bits(m), key=lambda p: (-freq[p], p))
-                top.sort()
-                cand = (mask_of(top), tuple(top))
+                top = tuple(sorted(sorted(perms, key=rank.__getitem__)[:k]))
+                cand = (mask_of(top), top)
             cands[m] = cand
         return cand
 
     role_masks: list[int] = []
-    seen_masks: set[int] = set()
-    ua: list[set[int]] = [set() for _ in range(upa.n_users)]
+    role_perms: list[tuple[int, ...]] = []
+    held: list[list[int]] = [[] for _ in rows]
     while clusters:
         tied: set[int] = set()
         top_key = None
         while heap:
             count, size, m = heap[0]
-            users = clusters.get(m)
-            if users is None or len(users) != -count:
+            r = clusters.get(m)
+            if r is None or users[r] != -count:
                 heapq.heappop(heap)
                 continue
             if top_key is None:
@@ -95,37 +119,73 @@ def mine_crm(
                 break
             heapq.heappop(heap)
             tied.add(m)
-        pick = min((candidate(m) for m in tied), key=lambda c: c[1])[0]
-        assert pick > 0 and pick not in seen_masks
-        seen_masks.add(pick)
+        pick, perms = min((candidate(m) for m in tied), key=lambda c: c[1])
 
         rid = len(role_masks)
         role_masks.append(pick)
-        held = 0
-        for m in [m for m in clusters if pick & ~m == 0]:
-            users = clusters.pop(m)
+        role_perms.append(perms)
+        holders = -1
+        for p in perms:
+            holders &= uncovered[p]
+        assert holders > 0, "the picked cluster holds its candidate"
+        moved = 0
+        for r in perm_tuple(holders & reps):
+            m = mask_at[r]
+            del clusters[m]
             cands.pop(m, None)
-            held += len(users)
-            for u in users:
-                ua[u].add(rid)
+            moved += users[r]
+            for i in rows[r]:
+                held[i].append(rid)
             rest = m & ~pick
-            if rest:
-                clusters.setdefault(rest, []).extend(users)
-                push(rest)
-        for p in iter_bits(pick):
-            freq[p] -= held
+            if not rest:
+                reps ^= 1 << r
+                continue
+            into = clusters.get(rest)
+            if into is None:
+                clusters[rest] = r
+                mask_at[r] = rest
+            else:
+                reps ^= 1 << r
+                rows[into] += rows[r]
+                users[into] += users[r]
+            push(rest)
+        for p in perms:
+            uncovered[p] ^= holders
+            rank[p] += moved * n
         for m in tied:
             if m in clusters:
                 push(m)
         for m in [m for m, (cand, _) in cands.items() if cand & pick]:
             del cands[m]
+    return role_masks, role_perms, held
 
-    d = Decomposition(
-        roles=tuple(
-            Role(rid, frozenset(iter_bits(m))) for rid, m in enumerate(role_masks)
-        ),
-        ua=tuple(frozenset(s) for s in ua),
-    )
+
+def mine_crm(
+    upa: AccessMatrix, cfg: MiningConfig, *, lattice: bool = True
+) -> Decomposition:
+    k = cfg.max_perms_per_role
+    index = RowIndex(upa)
+    role_masks, role_perms, held = _greedy(index, k)
     if lattice:
-        d = lattice_reduce(upa, d, k)
-    return d
+        for m, roles in zip(index.masks, held):
+            union = 0
+            for rid in roles:
+                union |= role_masks[rid]
+            if union != m:
+                raise IncompleteDecompositionError(
+                    "CRM left a row uncovered before the lattice pass"
+                )
+        assigned = [set(roles) for roles in held]
+        keep = reduce_rows(
+            role_masks, role_perms, index.columns, index.counts, assigned
+        )
+    else:
+        assigned, keep = held, [True] * len(role_masks)
+    return Decomposition(
+        roles=tuple(
+            Role(rid, frozenset(perms))
+            for rid, perms in enumerate(role_perms)
+            if keep[rid]
+        ),
+        ua=per_user(index.users, assigned, upa.n_users),
+    )

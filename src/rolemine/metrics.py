@@ -10,6 +10,8 @@ Implemented definitions (spelled out because published variants differ):
                exactly, at most 1.
 - elapsed_ms = wall-clock time around the mining call only, supplied by the
                caller (this module never does I/O or timing itself).
+- lower bound on |R| = max over rows of ceil(|row| / k): a row needs that
+               many roles of at most k permissions on its own.
 
 Reports serialize to JSON and CSV with a fixed field order so repeated runs
 compare byte-for-byte (the timing field excepted, being wall-clock).
@@ -85,6 +87,15 @@ class MetricsReport:
 class UndefinedMetricError(RoleMiningError, ValueError):
     """Accuracy or distance asked of an empty mined or truth catalog: a data
     error, not a usage error."""
+
+
+def role_lower_bound(upa: AccessMatrix, k: int) -> int:
+    """The fewest roles of at most k permissions any complete decomposition
+    can have by the largest row alone: max over rows of ceil(|row| / k),
+    0 for an empty matrix."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return -(-upa.max_row_size() // k)
 
 
 def jaccard(a: frozenset[int], b: frozenset[int]) -> Fraction:

@@ -13,6 +13,7 @@ heuristics on small instances, not to solve real ones.
 
 from __future__ import annotations
 
+from .metrics import role_lower_bound
 from .model import (
     AccessMatrix,
     Decomposition,
@@ -52,7 +53,7 @@ def optimal_role_count(upa: AccessMatrix, k: int) -> tuple[int, Decomposition]:
     candidates = _candidate_masks(rows, k)
     fits_in_row = [[c for c in candidates if c & ~row == 0] for row in rows]
 
-    lower = max(-(-row.bit_count() // k) for row in rows)
+    lower = role_lower_bound(upa, k)
     upper = sum(-(-row.bit_count() // k) for row in rows)
 
     for budget in range(lower, upper + 1):

@@ -1,10 +1,17 @@
-"""End-to-end CLI checks; every invocation goes through a real subprocess."""
+"""End-to-end CLI checks; every invocation goes through a real subprocess,
+except the fuzz test, which calls ``cli.main`` in-process."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rolemine import (
     GeneratorParams,
@@ -17,6 +24,7 @@ from rolemine import (
     parse_dense,
     parse_sparse,
 )
+from rolemine import cli
 from rolemine.model import is_complete
 
 
@@ -111,6 +119,34 @@ def test_mine_parse_error_reports_line(tmp_path):
     )
     assert proc.returncode == 1
     assert "line 1" in proc.stderr
+
+
+@pytest.mark.parametrize("bad", ["input", "truth"])
+def test_mine_non_utf8_file_is_data_error(tmp_path, sparse_file, bad):
+    broken = tmp_path / "broken.txt"
+    broken.write_bytes(b"u1 p1\n\xff p2\n")
+    files = {"input": sparse_file, "truth": tmp_path / "truth.txt"}
+    files["truth"].write_text("role 0: p1\n")
+    files[bad] = broken
+    proc = run_cli(
+        "mine", "--algo", "crm", "--k", "2",
+        "--input", str(files["input"]), "--truth", str(files["truth"]),
+        "--output", str(tmp_path / "o"), "--metrics", str(tmp_path / "m"),
+    )
+    assert proc.returncode == 1
+    assert "line 2" in proc.stderr and "not UTF-8" in proc.stderr
+
+
+def test_mine_reports_lower_bound_on_stderr_only(tmp_path, sparse_file):
+    out = tmp_path / "roles.txt"
+    metrics = tmp_path / "metrics.json"
+    proc = run_cli(
+        "mine", "--algo", "crm", "--k", "1",
+        "--input", str(sparse_file), "--output", str(out), "--metrics", str(metrics),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.rstrip().endswith(", lower bound 2")
+    assert "lower bound" not in proc.stdout + metrics.read_text() + out.read_text()
 
 
 def test_mine_unknown_algo_is_usage_error(tmp_path, sparse_file):
@@ -292,3 +328,53 @@ def test_oracle_guard_maps_to_data_error(tmp_path):
     proc = run_cli("oracle", "--input", str(data), "--format", "dense", "--k", "2")
     assert proc.returncode == 1
     assert "guard" in proc.stderr
+
+
+# Short texts near the file formats (sparse pairs, dense rows, catalog role
+# lines), arbitrary text and arbitrary bytes.
+_TOKENS = st.sampled_from([
+    "u1 p1\n", "u2 p2\n", "u1", "p1", "0", "1", "01\n", "10\n", "110", "role",
+    "role 0: p1\n", "role 1: p0 p2\n", "0:", "p0", "p-1", "#", "x", " ", "\t",
+    "\n", "\r\n",
+])
+_FILE_BYTES = st.one_of(
+    st.lists(_TOKENS, max_size=16).map(lambda t: "".join(t).encode()),
+    st.binary(max_size=24),
+    st.text(max_size=12).map(lambda t: t.encode("utf-8")),
+)
+
+
+def _not_utf8(data: bytes) -> bool:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(upa_bytes=_FILE_BYTES, truth_bytes=_FILE_BYTES, k=st.integers(-1, 3),
+       with_truth=st.booleans())
+def test_cli_fuzz_exits_with_documented_codes(upa_bytes, truth_bytes, k, with_truth):
+    with tempfile.TemporaryDirectory() as tmp:
+        upa, truth, out = Path(tmp, "upa"), Path(tmp, "truth"), str(Path(tmp, "out"))
+        upa.write_bytes(upa_bytes)
+        truth.write_bytes(truth_bytes)
+        truth_args = ["--truth", str(truth)] if with_truth else []
+        runs = []
+        for fmt in ("sparse", "dense"):
+            common = ["--input", str(upa), "--format", fmt]
+            for algo in ("constrained", "crm"):
+                runs.append(["mine", "--algo", algo, "--k", str(k), *common,
+                             *truth_args, "--output", out,
+                             "--metrics", out + ".json"])
+            runs.append(["oracle", "--k", str(k), *common])
+            runs.append(["compare", "--k-list", f"1,{k}", *common, "--out", out])
+        for argv in runs:
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = cli.main(argv)
+            assert code in (0, 1, 2), (argv, sink.getvalue())
+            if k >= 1 and (_not_utf8(upa_bytes) or (
+                    argv[0] == "mine" and with_truth and _not_utf8(truth_bytes))):
+                assert code == 1, (argv, sink.getvalue())

@@ -1,14 +1,22 @@
 import hashlib
+import heapq
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rolemine import (
     AccessMatrix,
+    Decomposition,
     MiningConfig,
+    Role,
     is_complete,
+    lattice_reduce,
     mine_constrained,
     mine_crm,
     satisfies_constraint,
     serialize_decomposition,
 )
+from rolemine.model import iter_bits, mask_of, perm_tuple
 from rolemine.rng import SplitMix64
 
 from conftest import guard_instance, synthetic_instance
@@ -110,3 +118,130 @@ def test_both_miners_bytes_pinned_on_synthetic_instances():
     assert acc[mine_crm].hexdigest() == (
         "8268a2cbc5564694e7e93bd89a70d89c22120d1a75b32e9429d0b71bf7ae335b"
     )
+
+
+def test_crm_guard_instance_bytes_pinned_at_k5():
+    upa = guard_instance()
+    cfg = MiningConfig(max_perms_per_role=5)
+    raw = mine_crm(upa, cfg, lattice=False)
+    assert raw.r_count() == 873
+    assert _sha(raw) == (
+        "bcb7bd0371cd8821dee3db2233ac672628c80f188195318e96383d06f33dac53"
+    )
+    reduced = mine_crm(upa, cfg)
+    assert reduced.r_count() == 390
+    assert _sha(reduced) == (
+        "231fa6895dac90f134c2b747e142a180cf8ab9b8c70205cf6954e3d3c0d78a99"
+    )
+
+
+def _reference_mine_crm(upa, k):
+    """The greedy loop user by user, without the lattice: clusters of users
+    keyed by uncovered mask, holders found by scanning every cluster, each
+    user's roles kept in its own set and truncation by frequency over
+    uncovered cells."""
+    freq = [0] * upa.n_perms
+    clusters = {}
+    for u, m in enumerate(upa.masks):
+        if m:
+            clusters.setdefault(m, []).append(u)
+    for m, users in clusters.items():
+        for p in iter_bits(m):
+            freq[p] += len(users)
+    heap = []
+
+    def push(m):
+        heapq.heappush(heap, (-len(clusters[m]), -min(m.bit_count(), k), m))
+
+    for m in clusters:
+        push(m)
+    cands = {}
+
+    def candidate(m):
+        cand = cands.get(m)
+        if cand is None:
+            if m.bit_count() <= k:
+                cand = (m, perm_tuple(m))
+            else:
+                top = heapq.nsmallest(k, iter_bits(m), key=lambda p: (-freq[p], p))
+                top.sort()
+                cand = (mask_of(top), tuple(top))
+            cands[m] = cand
+        return cand
+
+    role_masks = []
+    ua = [set() for _ in range(upa.n_users)]
+    while clusters:
+        tied = set()
+        top_key = None
+        while heap:
+            count, size, m = heap[0]
+            users = clusters.get(m)
+            if users is None or len(users) != -count:
+                heapq.heappop(heap)
+                continue
+            if top_key is None:
+                top_key = (count, size)
+            elif (count, size) != top_key:
+                break
+            heapq.heappop(heap)
+            tied.add(m)
+        pick = min((candidate(m) for m in tied), key=lambda c: c[1])[0]
+        assert pick not in role_masks
+        rid = len(role_masks)
+        role_masks.append(pick)
+        held = 0
+        for m in [m for m in clusters if pick & ~m == 0]:
+            users = clusters.pop(m)
+            cands.pop(m, None)
+            held += len(users)
+            for u in users:
+                ua[u].add(rid)
+            rest = m & ~pick
+            if rest:
+                clusters.setdefault(rest, []).extend(users)
+                push(rest)
+        for p in iter_bits(pick):
+            freq[p] -= held
+        for m in tied:
+            if m in clusters:
+                push(m)
+        for m in [m for m, (cand, _) in cands.items() if cand & pick]:
+            del cands[m]
+    return Decomposition(
+        roles=tuple(
+            Role(rid, frozenset(iter_bits(m))) for rid, m in enumerate(role_masks)
+        ),
+        ua=tuple(frozenset(s) for s in ua),
+    )
+
+
+@st.composite
+def _crm_instances(draw):
+    """A small matrix with duplicate and empty rows (possibly no users at
+    all) and a k from 1 to its largest row."""
+    n_perms = draw(st.integers(0, 9))
+    rows = draw(st.lists(st.integers(0, (1 << n_perms) - 1), min_size=1, max_size=10))
+    masks = draw(st.lists(st.sampled_from(rows), max_size=24))
+    upa = AccessMatrix(n_users=len(masks), n_perms=n_perms, masks=tuple(masks))
+    k = draw(st.integers(1, max(1, upa.max_row_size())))
+    return upa, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_crm_instances())
+def test_crm_matches_per_user_reference(instance):
+    upa, k = instance
+    cfg = MiningConfig(max_perms_per_role=k)
+    assert mine_crm(upa, cfg, lattice=False) == _reference_mine_crm(upa, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_crm_instances())
+def test_crm_lattice_equals_public_lattice_after_raw_crm(instance):
+    # mine_crm runs the lattice core on its own index; the public pass
+    # regroups the users of the raw output.
+    upa, k = instance
+    cfg = MiningConfig(max_perms_per_role=k)
+    via_public = lattice_reduce(upa, mine_crm(upa, cfg, lattice=False), k)
+    assert mine_crm(upa, cfg) == via_public

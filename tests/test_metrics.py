@@ -12,8 +12,14 @@ from rolemine import (
     accuracy_distance,
     jaccard,
     measure,
+    mine_constrained,
+    mine_crm,
+    optimal_role_count,
+    role_lower_bound,
 )
 from rolemine.metrics import JSON_FIELDS
+
+from conftest import tiny_instance
 
 
 def test_measure_counts_and_wsc():
@@ -177,3 +183,26 @@ def test_report_serialization_shape():
     assert blob["accuracy"] == "1"
     assert blob["seed"] == 42
     assert report.csv_values()[0] == "1"  # r_count leads the metrics order
+
+
+def test_role_lower_bound_is_the_largest_row_over_k():
+    upa = AccessMatrix.from_rows([{0}, {0, 1, 2, 3, 4}, set(), {1, 2}])
+    assert [role_lower_bound(upa, k) for k in (1, 2, 3, 5, 9)] == [5, 3, 2, 1, 1]
+    assert role_lower_bound(AccessMatrix(n_users=0, n_perms=0, masks=()), 3) == 0
+    assert role_lower_bound(AccessMatrix.from_rows([set(), set()]), 1) == 0
+    with pytest.raises(ValueError):
+        role_lower_bound(upa, 0)
+
+
+def test_role_lower_bound_below_oracle_and_both_miners():
+    # Criterion 2's instances: the bound never exceeds the exact optimum,
+    # which never exceeds what either miner finds.
+    for i in range(200):
+        upa, k = tiny_instance(31_000 + i)
+        bound = role_lower_bound(upa, k)
+        optimum, _ = optimal_role_count(upa, k)
+        assert bound <= optimum, i
+        cfg = MiningConfig(max_perms_per_role=k)
+        for miner in (mine_constrained, mine_crm):
+            for lattice in (False, True):
+                assert bound <= miner(upa, cfg, lattice=lattice).r_count(), i
