@@ -54,7 +54,6 @@ from .model import (
     MiningConfig,
     Role,
     RoleMiningError,
-    distinct_rows,
     is_complete,
     satisfies_constraint,
     singleton_decomposition,
@@ -82,7 +81,6 @@ __all__ = [
     "SparseParseResult",
     "SplitMix64",
     "accuracy_distance",
-    "distinct_rows",
     "eliminate_union_roles",
     "enforce_cardinality",
     "generate",

@@ -8,8 +8,9 @@ union elimination's order: size descending, then permission tuple.  Each
 permission has a vertical bitmap over positions (an Eclat tid-list, Zaki,
 "Scalable algorithms for association mining", TKDE 2000): "the rows that
 contain permission set S" is the AND of S's columns.  Both miners build
-one index per run and hand its columns to the lattice core; CRM starts its
-uncovered-cell bitmaps and permission frequencies from it.
+one index per run and end in `lattice.finish_rows`, which hands its
+columns to the lattice core; CRM starts its uncovered-cell bitmaps and
+permission frequencies from it.
 
 `eliminate_union_roles` and `lattice_reduce`, which take a decomposition
 whose users of one row may hold different roles, index their own user

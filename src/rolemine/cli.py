@@ -13,7 +13,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .constrained import mine_constrained
@@ -117,6 +116,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     _write_text(args.output, serialize_decomposition(d))
     payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
     _write_text(args.metrics, payload)
+    names_path = args.output + ".names.json"
     if sparse_result is not None and not (
         names_are_indices(sparse_result.user_names)
         and names_are_indices(sparse_result.perm_names)
@@ -125,7 +125,9 @@ def cmd_mine(args: argparse.Namespace) -> int:
             "users": list(sparse_result.user_names),
             "perms": list(sparse_result.perm_names),
         }
-        _write_text(args.output + ".names.json", json.dumps(names, indent=2) + "\n")
+        _write_text(names_path, json.dumps(names, indent=2) + "\n")
+    else:  # a stale sidecar would name tokens this input does not have
+        Path(names_path).unlink(missing_ok=True)
     _log(
         f"{args.algo}: {d.r_count()} roles, |UA|={d.ua_size()}, "
         f"|PA|={d.pa_size()}, {elapsed_ms:.1f} ms, "
@@ -176,8 +178,7 @@ def _parse_gen_spec(spec: str, seed: int) -> GeneratorParams:
         ) from None
 
 
-def _compare_cell(cell) -> list[str]:
-    name, upa, truth, algo, k, seed, lattice = cell
+def _compare_cell(name, upa, truth, algo, k, seed, lattice) -> list[str]:
     cfg = MiningConfig(max_perms_per_role=k, seed=seed)
     start = time.perf_counter()
     d = _MINERS[algo](upa, cfg, lattice=lattice)
@@ -213,16 +214,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         params = _parse_gen_spec(args.gen_spec, args.seed)
         upa, truth = generate(params)
         name = args.gen_spec
-    cells = [
-        (name, upa, truth, algo, k, args.seed, not args.no_lattice)
+    rows = [
+        _compare_cell(name, upa, truth, algo, k, args.seed, not args.no_lattice)
         for algo in algos
         for k in k_list
     ]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_compare_cell, cells))
-    else:
-        rows = [_compare_cell(c) for c in cells]
     buf = io.StringIO()
     out = csv.writer(buf, lineterminator="\n")
     out.writerow(COMPARE_HEADER)
@@ -284,6 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--out", required=True)
     comp.add_argument("--no-lattice", action="store_true")
     comp.add_argument("--seed", type=int, default=0)
+    # Kept for compatibility: cells run in order, as threads were slower.
     comp.add_argument("--jobs", type=int, default=1)
     comp.set_defaults(func=cmd_compare)
 

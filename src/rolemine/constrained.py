@@ -21,7 +21,7 @@ frequency of each permission.  The candidates are the index rows; a
 candidate's id is its rank in (size ascending, smallest user) order.  Every
 user of a row holds the same roles through union elimination, the split
 and the lattice, so assignments are kept per row and expanded to users
-once, at the end.
+once, at the end, in the tail shared with CRM (`lattice.finish_rows`).
 
 Union elimination reads "which candidates lie inside candidate r" from the
 index: ANDing r's columns gives its supersets, and inverting that relation
@@ -57,7 +57,7 @@ from ._rowindex import (
     role_holders,
     vertical,
 )
-from .lattice import reduce_rows
+from .lattice import finish_rows
 from .model import (
     AccessMatrix,
     Decomposition,
@@ -295,14 +295,4 @@ def mine_constrained(
         )
 
     roles = [set(chain.from_iterable(pieces[c] for c in cands)) for cands in held]
-    keep = [True] * len(cat_masks)
-    if lattice:
-        keep = reduce_rows(cat_masks, cat_perms, index.columns, index.counts, roles)
-    return Decomposition(
-        roles=tuple(
-            Role(cid, frozenset(perms))
-            for cid, perms in enumerate(cat_perms)
-            if keep[cid]
-        ),
-        ua=per_user(index.users, roles, upa.n_users),
-    )
+    return finish_rows(index, cat_masks, cat_perms, roles, lattice, upa.n_users)

@@ -35,25 +35,24 @@ so a cached truncation can change only when it contains a picked
 permission; such entries are dropped and every other entry stays valid.
 The output is that of re-clustering and re-truncating every round.
 
-Assignments are kept per row and expanded to users once.  With the
-lattice on, the rows' role sets go straight into the lattice core
-(`lattice.reduce_rows`) over the index columns, after a per-row check that
-each row's roles union to its mask; the result equals `lattice_reduce` on
-the raw output.
+Assignments are kept per row.  With the lattice on, a per-row check that
+each row's roles union to its mask comes first.  The miners' shared tail
+(`lattice.finish_rows`) then runs the lattice pass over the index columns,
+which equals `lattice_reduce` on the raw output, and expands the rows to
+users once.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from ._rowindex import RowIndex, per_user
-from .lattice import reduce_rows
+from ._rowindex import RowIndex
+from .lattice import finish_rows
 from .model import (
     AccessMatrix,
     Decomposition,
     IncompleteDecompositionError,
     MiningConfig,
-    Role,
     mask_of,
     perm_tuple,
 )
@@ -61,9 +60,9 @@ from .model import (
 
 def _greedy(
     index: RowIndex, k: int
-) -> tuple[list[int], list[tuple[int, ...]], list[list[int]]]:
+) -> tuple[list[int], list[tuple[int, ...]], list[set[int]]]:
     """The cover loop over the index rows: each role's mask and permission
-    tuple, and each row's role ids in pick order."""
+    tuple, and each row's set of role ids."""
     n = len(index.columns)
     rank = [p - f * n for p, f in enumerate(index.freq)]
     # uncovered[p]: the rows still missing permission p.
@@ -103,7 +102,7 @@ def _greedy(
 
     role_masks: list[int] = []
     role_perms: list[tuple[int, ...]] = []
-    held: list[list[int]] = [[] for _ in rows]
+    held: list[set[int]] = [set() for _ in rows]
     while clusters:
         tied: set[int] = set()
         top_key = None
@@ -135,7 +134,7 @@ def _greedy(
             cands.pop(m, None)
             moved += users[r]
             for i in rows[r]:
-                held[i].append(rid)
+                held[i].add(rid)
             rest = m & ~pick
             if not rest:
                 reps ^= 1 << r
@@ -175,17 +174,4 @@ def mine_crm(
                 raise IncompleteDecompositionError(
                     "CRM left a row uncovered before the lattice pass"
                 )
-        assigned = [set(roles) for roles in held]
-        keep = reduce_rows(
-            role_masks, role_perms, index.columns, index.counts, assigned
-        )
-    else:
-        assigned, keep = held, [True] * len(role_masks)
-    return Decomposition(
-        roles=tuple(
-            Role(rid, frozenset(perms))
-            for rid, perms in enumerate(role_perms)
-            if keep[rid]
-        ),
-        ua=per_user(index.users, assigned, upa.n_users),
-    )
+    return finish_rows(index, role_masks, role_perms, held, lattice, upa.n_users)

@@ -28,8 +28,8 @@ from .model import (
     Decomposition,
     RoleMiningError,
     Role,
-    iter_bits,
     mask_of,
+    perm_tuple,
 )
 from .rng import SplitMix64
 
@@ -92,11 +92,11 @@ def serialize_sparse(
     """Canonical sparse text: users ascending, permissions ascending per user."""
     unames = list(user_names) if user_names else [f"u{i}" for i in range(upa.n_users)]
     pnames = list(perm_names) if perm_names else [f"p{j}" for j in range(upa.n_perms)]
-    lines = []
-    for u in range(upa.n_users):
-        for p in iter_bits(upa.masks[u]):
-            lines.append(f"{unames[u]} {pnames[p]}")
-    return "".join(line + "\n" for line in lines)
+    return "".join(
+        f"{unames[u]} {pnames[p]}\n"
+        for u, m in enumerate(upa.masks)
+        for p in perm_tuple(m)
+    )
 
 
 def names_are_indices(names: Iterable[str]) -> bool:
@@ -160,41 +160,56 @@ def serialize_decomposition(d: Decomposition) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _number(text: str) -> int:
+    """An index in ASCII decimal digits; int() alone would also read a
+    sign, underscores and other scripts' digits (``p1_0`` as 10)."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not an index: {text!r}")
+    return int(text)
+
+
+_TOKENS = {"role": ("p", "permission"), "user": ("r", "role")}
+
+
+def _parse_line(
+    line_no: int, line: str, kinds: tuple[str, ...]
+) -> tuple[str, int, frozenset[int]]:
+    """Kind, index and token numbers of a ``role <i>: p<n> ...`` or
+    ``user <i>: r<n> ...`` line whose kind is one of `kinds`."""
+    head, _, rest = line.partition(":")
+    fields = head.split()
+    if len(fields) != 2 or fields[0] not in kinds:
+        raise ParseError(line_no, f"unrecognized line {line!r}")
+    try:
+        idx = _number(fields[1])
+    except ValueError:
+        raise ParseError(line_no, f"bad index in {line!r}") from None
+    prefix, what = _TOKENS[fields[0]]
+    items = rest.split()
+    try:
+        numbers = frozenset(_number(t[1:]) for t in items if t[0] == prefix)
+        if len(numbers) != len(items):
+            raise ValueError("a repeated or foreign token")
+    except ValueError:
+        raise ParseError(line_no, f"bad {what} token in {line!r}") from None
+    if not items and fields[0] == "role":
+        raise ParseError(line_no, "role with no permissions")
+    return fields[0], idx, numbers
+
+
 def parse_decomposition(text: str, n_users: int) -> Decomposition:
     """Inverse of serialize_decomposition (users absent from the text get
     empty assignments, which is why the user count must be supplied)."""
     role_sets: dict[int, frozenset[int]] = {}
     ua = [frozenset()] * n_users
     for line_no, line in _logical_lines(text):
-        head, _, rest = line.partition(":")
-        fields = head.split()
-        if len(fields) != 2 or fields[0] not in ("role", "user"):
-            raise ParseError(line_no, f"unrecognized line {line!r}")
-        try:
-            idx = int(fields[1])
-        except ValueError:
-            raise ParseError(line_no, f"bad index in {line!r}") from None
-        items = rest.split()
-        if fields[0] == "role":
-            try:
-                role_sets[idx] = frozenset(int(t[1:]) for t in items if t[0] == "p")
-            except (ValueError, IndexError):
-                raise ParseError(line_no, f"bad permission token in {line!r}") from None
-            if len(role_sets[idx]) != len(items):
-                raise ParseError(line_no, f"bad permission token in {line!r}")
-            if not items:
-                raise ParseError(line_no, "role with no permissions")
-            if min(role_sets[idx]) < 0:
-                raise ParseError(line_no, f"negative permission index in {line!r}")
+        kind, idx, numbers = _parse_line(line_no, line, ("role", "user"))
+        if kind == "role":
+            role_sets[idx] = numbers
+        elif idx < n_users:
+            ua[idx] = numbers
         else:
-            if not 0 <= idx < n_users:
-                raise ParseError(line_no, f"user {idx} out of range")
-            try:
-                ua[idx] = frozenset(int(t[1:]) for t in items if t[0] == "r")
-            except (ValueError, IndexError):
-                raise ParseError(line_no, f"bad role token in {line!r}") from None
-            if len(ua[idx]) != len(items):
-                raise ParseError(line_no, f"bad role token in {line!r}")
+            raise ParseError(line_no, f"user {idx} out of range")
     roles = tuple(Role(i, s) for i, s in sorted(role_sets.items()))
     return Decomposition(roles=roles, ua=tuple(ua))
 
@@ -209,22 +224,10 @@ def serialize_catalog(catalog: Sequence[frozenset[int]]) -> str:
 
 
 def parse_catalog(text: str) -> tuple[frozenset[int], ...]:
-    out: list[frozenset[int]] = []
-    for line_no, line in _logical_lines(text):
-        head, _, rest = line.partition(":")
-        fields = head.split()
-        if len(fields) != 2 or fields[0] != "role":
-            raise ParseError(line_no, f"expected a role line, got {line!r}")
-        try:
-            perms = frozenset(int(t[1:]) for t in rest.split() if t[0] == "p")
-        except (ValueError, IndexError):
-            raise ParseError(line_no, f"bad permission token in {line!r}") from None
-        if len(perms) != len(rest.split()):
-            raise ParseError(line_no, f"bad permission token in {line!r}")
-        if not perms:
-            raise ParseError(line_no, "role with no permissions")
-        out.append(perms)
-    return tuple(out)
+    return tuple(
+        _parse_line(line_no, line, ("role",))[2]
+        for line_no, line in _logical_lines(text)
+    )
 
 
 def relabel_catalog(

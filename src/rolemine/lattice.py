@@ -9,10 +9,10 @@ shrink and completeness and the cardinality bound are preserved by
 construction.
 
 The pass runs on row groups, not users.  Users with the same row and the
-same roles are reassigned alike, so each group keeps one assignment.  The
-constrained miner hands over its distinct-row index, where every user of a
-row holds the same roles; `lattice_reduce` groups users by (row, assigned
-roles) and builds columns over those groups the same way.
+same roles are reassigned alike, so each group keeps one assignment.  Both
+miners end in `finish_rows`, which hands over their distinct-row index,
+where every user of a row holds the same roles; `lattice_reduce` groups
+users by (row, assigned roles) and builds columns over those groups.
 
 A role's fitting rows are the AND of its permissions' vertical bitmaps over
 rows (Eclat tid-lists, Zaki, TKDE 2000); each row keeps its fitting roles
@@ -31,12 +31,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._rowindex import per_user, rarest_first_and, role_holders, vertical
+from ._rowindex import RowIndex, per_user, rarest_first_and, role_holders, vertical
 from .model import (
     AccessMatrix,
     ConstraintViolationError,
     Decomposition,
     IncompleteDecompositionError,
+    Role,
     is_complete,
     perm_tuple,
     satisfies_constraint,
@@ -114,6 +115,26 @@ def reduce_rows(
             holders[i] = set()
             changed = True
     return alive
+
+
+def finish_rows(
+    index: RowIndex,
+    masks: Sequence[int],
+    perms: Sequence[tuple[int, ...]],
+    held: list[set[int]],
+    lattice: bool,
+    n_users: int,
+) -> Decomposition:
+    """Both miners' tail: the lattice pass over the index rows if `lattice`
+    is set, then the roles that stay.  Role i is ``masks[i]``, ``perms[i]``;
+    ``held[g]``, the roles of index row g, is updated in place."""
+    keep = [True] * len(masks)
+    if lattice:
+        keep = reduce_rows(masks, perms, index.columns, index.counts, held)
+    return Decomposition(
+        roles=tuple(Role(i, frozenset(t)) for i, t in enumerate(perms) if keep[i]),
+        ua=per_user(index.users, held, n_users),
+    )
 
 
 def lattice_reduce(upa: AccessMatrix, d: Decomposition, k: int) -> Decomposition:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class RoleMiningError(Exception):
@@ -44,14 +44,6 @@ def mask_of(perms: Iterable[int]) -> int:
     return m
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield set bit positions in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def perm_tuple(mask: int) -> tuple[int, ...]:
     """Set bit positions in ascending order.
 
@@ -66,10 +58,6 @@ def perm_tuple(mask: int) -> tuple[int, ...]:
         mask ^= 1 << top
     out.reverse()
     return tuple(out)
-
-
-def perm_set(mask: int) -> frozenset[int]:
-    return frozenset(iter_bits(mask))
 
 
 # --- domain types ----------------------------------------------------------
@@ -111,10 +99,10 @@ class AccessMatrix:
         return cls(n_users=len(masks), n_perms=n_perms, masks=masks)
 
     def row(self, user: int) -> frozenset[int]:
-        return perm_set(self.masks[user])
+        return frozenset(perm_tuple(self.masks[user]))
 
     def rows(self) -> tuple[frozenset[int], ...]:
-        return tuple(perm_set(m) for m in self.masks)
+        return tuple(frozenset(perm_tuple(m)) for m in self.masks)
 
     def cell_count(self) -> int:
         return sum(m.bit_count() for m in self.masks)
@@ -278,20 +266,6 @@ def satisfies_constraint(d: Decomposition, k: int) -> bool:
     return all(len(r.perms) <= k for r in d.roles)
 
 
-def distinct_rows(upa: AccessMatrix) -> list[tuple[frozenset[int], list[int]]]:
-    """Group users by identical rows.
-
-    Returns (permission set, member users) pairs ordered by smallest member
-    index; an empty-row group is included when empty rows exist (miners skip
-    it but the partition must be total).
-    """
-    groups: dict[int, list[int]] = {}
-    for u, m in enumerate(upa.masks):
-        groups.setdefault(m, []).append(u)
-    # Insertion order is first-appearance order, i.e. by smallest member.
-    return [(perm_set(m), users) for m, users in groups.items()]
-
-
 def singleton_decomposition(upa: AccessMatrix) -> Decomposition:
     """One role per permission in use: the universal feasibility witness.
 
@@ -301,9 +275,9 @@ def singleton_decomposition(upa: AccessMatrix) -> Decomposition:
     used = 0
     for m in upa.masks:
         used |= m
-    perm_to_role = {p: i for i, p in enumerate(iter_bits(used))}
+    perm_to_role = {p: i for i, p in enumerate(perm_tuple(used))}
     roles = tuple(Role(i, frozenset((p,))) for p, i in perm_to_role.items())
     ua = tuple(
-        frozenset(perm_to_role[p] for p in iter_bits(m)) for m in upa.masks
+        frozenset(perm_to_role[p] for p in perm_tuple(m)) for m in upa.masks
     )
     return Decomposition(roles=roles, ua=ua)

@@ -19,7 +19,7 @@ from .model import (
     Decomposition,
     Role,
     RoleMiningError,
-    iter_bits,
+    mask_of,
     perm_tuple,
 )
 
@@ -105,17 +105,14 @@ def _candidate_masks(rows: list[int], k: int) -> list[int]:
         for sub in range(1, 1 << len(perms)):
             if sub.bit_count() > k:
                 continue
-            mask = 0
-            for i in iter_bits(sub):
-                mask |= 1 << perms[i]
-            seen.add(mask)
+            seen.add(mask_of(perms[i] for i in perm_tuple(sub)))
     # Larger candidates first so the DFS covers rows quickly.
     return sorted(seen, key=lambda m: (-m.bit_count(), perm_tuple(m)))
 
 
 def _witness(upa: AccessMatrix, chosen: list[int]) -> Decomposition:
     order = sorted(chosen, key=lambda m: (m.bit_count(), perm_tuple(m)))
-    roles = tuple(Role(i, frozenset(iter_bits(m))) for i, m in enumerate(order))
+    roles = tuple(Role(i, frozenset(perm_tuple(m))) for i, m in enumerate(order))
     ua = tuple(
         frozenset(i for i, m in enumerate(order) if m & ~row == 0)
         if row

@@ -234,7 +234,7 @@ def test_criterion_5_cli_determinism(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         tables.append(_normalize_csv(out.read_text()))
-    assert tables[0] == tables[1] == tables[2]  # 4-way parallel == serial
+    assert tables[0] == tables[1] == tables[2]  # --jobs 4 == --jobs 1
     print("ACCEPTANCE 5 (CLI determinism, elapsed_ms field excepted): PASS")
 
 
@@ -251,7 +251,7 @@ def test_criterion_6_comparison_record(tmp_path):
             cells = {}
             for algo, _ in MINERS:
                 cell = (name, upa, truth, algo, k, 0, True)
-                values = _compare_cell(cell)
+                values = _compare_cell(*cell)
                 rows.append(values)
                 cells[algo] = dict(zip(COMPARE_HEADER, values))
             wsc_c = Fraction(cells["constrained"]["wsc"])

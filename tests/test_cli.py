@@ -90,6 +90,20 @@ def test_mine_writes_no_names_for_index_tokens(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert not (tmp_path / "roles.txt.names.json").exists()
 
+
+def test_mine_removes_stale_names_sidecar(tmp_path, sparse_file):
+    data = tmp_path / "ints.txt"
+    data.write_text("0 0\n0 1\n1 1\n")
+    out = tmp_path / "roles.txt"
+    for source in (sparse_file, data):
+        proc = run_cli(
+            "mine", "--algo", "constrained", "--k", "2", "--input", str(source),
+            "--output", str(out), "--metrics", str(tmp_path / "m.json"),
+        )
+        assert proc.returncode == 0, proc.stderr
+    # the named run's sidecar would map p0 and user 0 to its tokens
+    assert not (tmp_path / "roles.txt.names.json").exists()
+
 def test_mine_rejects_k_zero(tmp_path, sparse_file):
     proc = run_cli(
         "mine", "--algo", "crm", "--k", "0",
@@ -244,6 +258,21 @@ def test_mine_dense_truth_outside_the_matrix_is_data_error(tmp_path):
     )
     assert proc.returncode == 1
     assert "p7" in proc.stderr
+
+
+def test_mine_truth_with_noncanonical_numbers_is_data_error(tmp_path):
+    data = tmp_path / "upa.txt"
+    data.write_text("u0 p10\nu1 p3\n")
+    truth = tmp_path / "truth.txt"
+    # int() would read these as p10 and p3 and report accuracy 1
+    truth.write_text("role 0: p1_0\nrole 1: p+3\n")
+    proc = run_cli(
+        "mine", "--algo", "constrained", "--k", "2",
+        "--input", str(data), "--truth", str(truth),
+        "--output", str(tmp_path / "o"), "--metrics", str(tmp_path / "m"),
+    )
+    assert proc.returncode == 1
+    assert "line 1" in proc.stderr
 
 
 def test_compare_produces_cross_product_rows(tmp_path, sparse_file):

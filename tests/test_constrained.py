@@ -11,7 +11,6 @@ from rolemine import (
     IncompleteDecompositionError,
     MiningConfig,
     Role,
-    distinct_rows,
     eliminate_union_roles,
     enforce_cardinality,
     initial_candidates,
@@ -21,7 +20,7 @@ from rolemine import (
     satisfies_constraint,
     serialize_decomposition,
 )
-from rolemine.model import iter_bits, perm_set
+from rolemine.model import perm_tuple
 from rolemine.rng import SplitMix64
 
 from conftest import guard_instance, mixed_instances, synthetic_instance
@@ -205,7 +204,7 @@ def _reference_eliminate_union_roles(roles, ua, upa):
         m = masks[r.id]
         subs = [
             s
-            for p in iter_bits(m)
+            for p in perm_tuple(m)
             for s in by_min_perm.get(p, ())
             if s.id != r.id and s.id not in removed and masks[s.id] & ~m == 0
         ]
@@ -250,7 +249,7 @@ def _shuffled_catalogs(draw):
                  max_size=6)
     )
     held = [{i} for i in range(len(masks))] + extra
-    roles = tuple(Role(ids[i], perm_set(m)) for i, m in enumerate(masks))
+    roles = tuple(Role(ids[i], frozenset(perm_tuple(m))) for i, m in enumerate(masks))
     ua = [{ids[i] for i in s} for s in held]
     rows = []
     for s in held:
@@ -367,7 +366,7 @@ def test_mine_complete_and_constrained_on_random_instances():
         d = mine_constrained(upa, cfg)
         assert is_complete(upa, d)
         assert satisfies_constraint(d, k)
-        bound = sum(-(-len(perms) // k) for perms, users in distinct_rows(upa) if perms)
+        bound = sum(-(-m.bit_count() // k) for m in set(upa.masks))
         assert d.r_count() <= bound
 
 

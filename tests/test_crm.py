@@ -16,7 +16,7 @@ from rolemine import (
     satisfies_constraint,
     serialize_decomposition,
 )
-from rolemine.model import iter_bits, mask_of, perm_tuple
+from rolemine.model import mask_of, perm_tuple
 from rolemine.rng import SplitMix64
 
 from conftest import guard_instance, synthetic_instance
@@ -146,7 +146,7 @@ def _reference_mine_crm(upa, k):
         if m:
             clusters.setdefault(m, []).append(u)
     for m, users in clusters.items():
-        for p in iter_bits(m):
+        for p in perm_tuple(m):
             freq[p] += len(users)
     heap = []
 
@@ -163,7 +163,7 @@ def _reference_mine_crm(upa, k):
             if m.bit_count() <= k:
                 cand = (m, perm_tuple(m))
             else:
-                top = heapq.nsmallest(k, iter_bits(m), key=lambda p: (-freq[p], p))
+                top = heapq.nsmallest(k, perm_tuple(m), key=lambda p: (-freq[p], p))
                 top.sort()
                 cand = (mask_of(top), tuple(top))
             cands[m] = cand
@@ -201,7 +201,7 @@ def _reference_mine_crm(upa, k):
             if rest:
                 clusters.setdefault(rest, []).extend(users)
                 push(rest)
-        for p in iter_bits(pick):
+        for p in perm_tuple(pick):
             freq[p] -= held
         for m in tied:
             if m in clusters:
@@ -210,7 +210,7 @@ def _reference_mine_crm(upa, k):
             del cands[m]
     return Decomposition(
         roles=tuple(
-            Role(rid, frozenset(iter_bits(m))) for rid, m in enumerate(role_masks)
+            Role(rid, frozenset(perm_tuple(m))) for rid, m in enumerate(role_masks)
         ),
         ua=tuple(frozenset(s) for s in ua),
     )

@@ -189,12 +189,26 @@ def test_catalog_round_trip():
     assert parse_catalog(text) == (frozenset({0}), frozenset({1, 3}))
 
 
+@pytest.mark.parametrize("line", ["role 0: p1_0", "role 0: p+1", "role 0: p-1",
+                                  "role \u0660: p1", "role x: p1"])
+def test_parse_catalog_rejects_noncanonical_numbers(line):
+    with pytest.raises(ParseError) as err:
+        parse_catalog(f"role 0: p0\n{line}\n")
+    assert err.value.line_no == 2
+
+
 def test_parse_catalog_rejects_garbage():
     with pytest.raises(ParseError):
         parse_catalog("user 0: r1\n")
 
 
-@pytest.mark.parametrize("line", ["role 0:", "role 0: p-1", "role 0: p1 p-3"])
+@pytest.mark.parametrize("line", [
+    "role 0:", "role 0: p-1", "role 0: p1 p-3",
+    # int() reads a sign, underscores and non-ASCII digits; the text form
+    # never writes them
+    "role 0: p1_0", "role 0: p+3", "role 0: p\u0663", "role +2: p1",
+    "user +0: r1", "user 0: r\u0661",
+])
 def test_parse_decomposition_rejects_bad_role_with_line_number(line):
     with pytest.raises(ParseError) as err:
         parse_decomposition(f"# header\nrole 1: p0\n{line}\nuser 0: r1\n", 1)

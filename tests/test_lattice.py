@@ -20,7 +20,7 @@ from rolemine import (
     singleton_decomposition,
     witness_assignment,
 )
-from rolemine.model import iter_bits
+from rolemine.model import perm_tuple
 from rolemine.rng import SplitMix64
 
 from conftest import (
@@ -178,7 +178,7 @@ def _witness_instances(draw):
     full = (1 << n_perms) - 1
     extra = draw(st.lists(st.integers(1, full), max_size=10))
     catalog = {frozenset((p,)) for p in range(n_perms)}
-    catalog |= {frozenset(iter_bits(m)) for m in extra if m.bit_count() <= k}
+    catalog |= {frozenset(perm_tuple(m)) for m in extra if m.bit_count() <= k}
     masks = draw(st.lists(st.integers(0, full), min_size=1, max_size=12))
     upa = AccessMatrix(n_users=len(masks), n_perms=n_perms, masks=tuple(masks))
     order = sorted(catalog, key=lambda s: (len(s), sorted(s)))

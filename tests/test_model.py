@@ -8,12 +8,12 @@ from rolemine import (
     InvalidDecompositionError,
     MiningConfig,
     Role,
-    distinct_rows,
     is_complete,
     satisfies_constraint,
     singleton_decomposition,
 )
-from rolemine.model import iter_bits, mask_of, perm_set, perm_tuple
+from rolemine._rowindex import distinct_rows_by_size
+from rolemine.model import mask_of, perm_tuple
 
 
 # --- bitmask helpers ---------------------------------------------------------
@@ -21,8 +21,9 @@ from rolemine.model import iter_bits, mask_of, perm_set, perm_tuple
 def test_mask_round_trip():
     assert mask_of([0, 3, 5]) == 0b101001
     assert perm_tuple(0b101001) == (0, 3, 5)
-    assert perm_set(0) == frozenset()
-    assert list(iter_bits(0b110)) == [1, 2]
+    assert perm_tuple(0) == ()
+    assert perm_tuple(0b110) == (1, 2)
+    assert perm_tuple(1 << 5000 | 1 << 17 | 1) == (0, 17, 5000)
 
 
 # --- AccessMatrix ------------------------------------------------------------
@@ -139,23 +140,24 @@ def test_constraint_examples():
     assert satisfies_constraint(Decomposition.empty(3), 1)  # vacuous
 
 
-# --- distinct_rows -----------------------------------------------------------
+# --- distinct_rows_by_size --------------------------------------------------
 
 def test_distinct_rows_groups_identical_rows():
-    upa = AccessMatrix.from_rows([{0, 1}, {0, 1}, {2}])
-    assert distinct_rows(upa) == [(frozenset({0, 1}), [0, 1]), (frozenset({2}), [2])]
+    upa = AccessMatrix.from_rows([{0, 1}, {2}, {0, 1}])
+    assert distinct_rows_by_size(upa) == [((0, 1), 0b011, [0, 2]), ((2,), 0b100, [1])]
 
 
-def test_distinct_rows_keeps_empty_group():
-    upa = AccessMatrix.from_rows([[], [0]])
-    assert distinct_rows(upa) == [(frozenset(), [0]), (frozenset({0}), [1])]
+def test_distinct_rows_leaves_out_empty_rows():
+    upa = AccessMatrix.from_rows([[], [0], []])
+    assert distinct_rows_by_size(upa) == [((0,), 0b1, [1])]
 
 
 def test_distinct_rows_all_distinct():
-    upa = AccessMatrix.from_rows([{0}, {1}, {0, 1}])
-    groups = distinct_rows(upa)
-    assert len(groups) == 3
-    assert all(len(users) == 1 for _, users in groups)
+    # size descending, then permission tuple
+    upa = AccessMatrix.from_rows([{1}, {0}, {0, 2}, {0, 1}])
+    groups = distinct_rows_by_size(upa)
+    assert [perms for perms, _, _ in groups] == [(0, 1), (0, 2), (0,), (1,)]
+    assert [users for _, _, users in groups] == [[3], [2], [1], [0]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,12 +168,15 @@ def test_distinct_rows_all_distinct():
 )
 def test_distinct_rows_partitions_users(rows):
     upa = AccessMatrix.from_rows(rows, n_perms=8)
-    groups = distinct_rows(upa)
-    members = [u for _, users in groups for u in users]
-    assert sorted(members) == list(range(upa.n_users))
+    groups = distinct_rows_by_size(upa)
+    members = [u for _, _, users in groups for u in users]
+    assert sorted(members) == [u for u in range(upa.n_users) if upa.masks[u]]
     assert len(members) == len(set(members))
-    for perms, users in groups:
-        assert all(upa.row(u) == perms for u in users)
+    for perms, mask, users in groups:
+        assert perms == perm_tuple(mask)
+        assert all(upa.masks[u] == mask for u in users)
+    keys = [(-len(perms), perms) for perms, _, _ in groups]
+    assert keys == sorted(set(keys))
 
 
 # --- feasibility witness -----------------------------------------------------

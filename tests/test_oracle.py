@@ -9,7 +9,7 @@ from rolemine import (
     optimal_role_count,
     satisfies_constraint,
 )
-from rolemine.model import iter_bits
+from rolemine.model import perm_tuple
 
 from conftest import tiny_instance
 
@@ -109,5 +109,5 @@ def test_k1_needs_one_role_per_used_permission():
     count, _ = optimal_role_count(upa, 1)
     used = set()
     for m in upa.masks:
-        used.update(iter_bits(m))
+        used.update(perm_tuple(m))
     assert count == len(used)
