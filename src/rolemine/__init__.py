@@ -17,7 +17,6 @@ from .constrained import (
     Candidate,
     CandidatePool,
     eliminate_union_roles,
-    enforce_cardinality,
     initial_candidates,
     mine_constrained,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "SplitMix64",
     "accuracy_distance",
     "eliminate_union_roles",
-    "enforce_cardinality",
     "generate",
     "initial_candidates",
     "is_complete",

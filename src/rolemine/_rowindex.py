@@ -12,9 +12,10 @@ one index per run and end in `lattice.finish_rows`, which hands its
 columns to the lattice core; CRM starts its uncovered-cell bitmaps and
 permission frequencies from it.
 
-`eliminate_union_roles` and `lattice_reduce`, which take a decomposition
-whose users of one row may hold different roles, index their own user
-groups with the same helpers.
+`distinct_rows_by_size` is the one place users are grouped.  The miners
+group by row.  `eliminate_union_roles` and `lattice_reduce` take a complete
+decomposition, whose users of one row may hold different roles, and group
+by the assigned role set, which fixes the row; both end in `rebuild`.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from __future__ import annotations
 from collections import deque
 from itertools import repeat
 from operator import invert
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
-from .model import AccessMatrix, perm_tuple
+from .model import AccessMatrix, Decomposition, perm_tuple
 
 
 def tidlists(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
@@ -56,14 +57,6 @@ def bitmaps(lists: Sequence[Sequence[int]], n_rows: int) -> list[int]:
     return out
 
 
-def vertical(
-    rows: Sequence[Sequence[int]], width: int
-) -> tuple[list[int], list[int]]:
-    """Each permission's bitmap over row positions and its popcount."""
-    lists = tidlists(rows, width)
-    return bitmaps(lists, len(rows)), [len(positions) for positions in lists]
-
-
 def per_user(
     users: Iterable[Sequence[int]], assigned: Iterable[Iterable[int]], n_users: int
 ) -> tuple[frozenset[int], ...]:
@@ -75,6 +68,35 @@ def per_user(
         for u in group:
             ua[u] = shared
     return tuple(ua)
+
+
+def held_positions(
+    ua: Sequence[Iterable[int]], ids: Sequence[int], users: Iterable[Sequence[int]]
+) -> list[set[int]]:
+    """Per group of `users`, the positions of the roles its users hold in
+    `ua`, where ``ids[i]`` is the id of position i; `rebuild` inverts it."""
+    position = {rid: i for i, rid in enumerate(ids)}
+    return [{position[rid] for rid in ua[group[0]]} for group in users]
+
+
+def rebuild(
+    d: Decomposition,
+    ids: Sequence[int],
+    held: Iterable[Iterable[int]],
+    users: Iterable[Sequence[int]],
+) -> Decomposition:
+    """`d` after a stage that dropped roles and moved each group's
+    assignment: ``held[g]`` holds the role positions of the group whose
+    users are ``users[g]``, and ``ids[i]`` is the id of position i.  A
+    stage hands a dropped role's groups other roles and never takes a kept
+    role from its last group, so the roles still held are the ones kept;
+    they stay in d's order with their ids."""
+    assigned = [{ids[i] for i in roles} for roles in held]
+    live = set().union(*assigned)
+    return Decomposition(
+        roles=tuple(r for r in d.roles if r.id in live),
+        ua=per_user(users, assigned, len(d.ua)),
+    )
 
 
 def role_holders(held: Sequence[Iterable[int]], n_roles: int) -> list[set[int]]:
@@ -100,16 +122,24 @@ def rarest_first_and(
 
 
 def distinct_rows_by_size(
-    upa: AccessMatrix,
+    upa: AccessMatrix, keys: Sequence[Hashable] | None = None
 ) -> list[tuple[tuple[int, ...], int, list[int]]]:
-    """(permission tuple, mask, users) of each distinct nonempty row, size
-    descending, then permission tuple: union elimination's order."""
-    groups: dict[int, list[int]] = {}
-    for u, m in enumerate(upa.masks):
+    """(permission tuple, mask, users) of each group of users with a
+    nonempty row, size descending, then permission tuple: union
+    elimination's order.
+
+    Users are grouped by ``keys[u]``, by default their row; a key must fix
+    the row, as the role set of a complete decomposition does.  Groups of
+    one row keep the order of their first users.
+    """
+    if keys is None:
+        keys = upa.masks
+    groups: dict[Hashable, tuple[int, list[int]]] = {}
+    for u, (m, key) in enumerate(zip(upa.masks, keys)):
         if m:
-            groups.setdefault(m, []).append(u)
+            groups.setdefault(key, (m, []))[1].append(u)
     return sorted(
-        ((perm_tuple(m), m, users) for m, users in groups.items()),
+        ((perm_tuple(m), m, users) for m, users in groups.values()),
         key=lambda row: (-len(row[0]), row[0]),
     )
 
@@ -128,13 +158,16 @@ class RowIndex:
     ``perms[i]``, ``masks[i]`` and ``users[i]`` describe row position i;
     ``columns[p]`` and ``counts[p]`` are permission p's bitmap over
     positions and its popcount; ``freq[p]`` is the number of users holding
-    p, summed over the rows in p's tid-list.
+    p, summed over the rows in p's tid-list.  With `keys`, a position is a
+    group of users as `distinct_rows_by_size` forms it, and rows repeat.
     """
 
     __slots__ = ("perms", "masks", "users", "columns", "counts", "freq")
 
-    def __init__(self, upa: AccessMatrix) -> None:
-        rows = distinct_rows_by_size(upa)
+    def __init__(
+        self, upa: AccessMatrix, keys: Sequence[Hashable] | None = None
+    ) -> None:
+        rows = distinct_rows_by_size(upa, keys)
         self.perms = [row[0] for row in rows]
         self.masks = [row[1] for row in rows]
         self.users = [row[2] for row in rows]

@@ -31,8 +31,8 @@ from .datasets import (
     serialize_dense,
     serialize_sparse,
 )
-from .metrics import JSON_FIELDS, measure, role_lower_bound
-from .model import MiningConfig, RoleMiningError
+from .metrics import JSON_FIELDS, MetricsReport, measure, role_lower_bound
+from .model import Decomposition, MiningConfig, RoleMiningError
 from .oracle import optimal_role_count
 
 _MINERS = {"constrained": mine_constrained, "crm": mine_crm}
@@ -81,6 +81,21 @@ def _load_matrix(path: str, fmt: str):
     return parse_dense(text), None
 
 
+def _mine(
+    name, upa, truth, algo, k, seed, lattice
+) -> tuple[Decomposition, MetricsReport]:
+    """Mine one matrix with one algorithm; the decomposition and its report,
+    timed over the miner alone."""
+    cfg = MiningConfig(max_perms_per_role=k, seed=seed)
+    start = time.perf_counter()
+    d = _MINERS[algo](upa, cfg, lattice=lattice)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    report = measure(
+        upa, d, cfg, truth=truth, elapsed_ms=elapsed_ms, algorithm=algo, dataset=name
+    )
+    return d, report
+
+
 def cmd_mine(args: argparse.Namespace) -> int:
     if args.k < 1:
         _log("error: k must be >= 1")
@@ -99,19 +114,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
                     f"{upa.n_perms} permissions of the dense input"
                 )
                 return 1
-    cfg = MiningConfig(max_perms_per_role=args.k, seed=args.seed)
-    miner = _MINERS[args.algo]
-    start = time.perf_counter()
-    d = miner(upa, cfg, lattice=not args.no_lattice)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    report = measure(
-        upa,
-        d,
-        cfg,
-        truth=truth,
-        elapsed_ms=elapsed_ms,
-        algorithm=args.algo,
-        dataset=args.input,
+    d, report = _mine(
+        args.input, upa, truth, args.algo, args.k, args.seed, not args.no_lattice
     )
     _write_text(args.output, serialize_decomposition(d))
     payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
@@ -130,7 +134,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         Path(names_path).unlink(missing_ok=True)
     _log(
         f"{args.algo}: {d.r_count()} roles, |UA|={d.ua_size()}, "
-        f"|PA|={d.pa_size()}, {elapsed_ms:.1f} ms, "
+        f"|PA|={d.pa_size()}, {report.elapsed_ms:.1f} ms, "
         f"lower bound {role_lower_bound(upa, args.k)}"
     )
     sys.stdout.write(payload)
@@ -179,15 +183,9 @@ def _parse_gen_spec(spec: str, seed: int) -> GeneratorParams:
 
 
 def _compare_cell(name, upa, truth, algo, k, seed, lattice) -> list[str]:
-    cfg = MiningConfig(max_perms_per_role=k, seed=seed)
-    start = time.perf_counter()
-    d = _MINERS[algo](upa, cfg, lattice=lattice)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    report = measure(
-        upa, d, cfg, truth=truth, elapsed_ms=elapsed_ms, algorithm=algo, dataset=name
-    )
+    _, report = _mine(name, upa, truth, algo, k, seed, lattice)
     values = dict(zip(JSON_FIELDS, report.csv_values()))
-    return [values[f] if f in values else "" for f in COMPARE_HEADER]
+    return [values.get(f, "") for f in COMPARE_HEADER]
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -300,13 +298,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        _log(f"error: {exc}")
-        return 1
-    except OSError as exc:
-        _log(f"error: {exc}")
-        return 1
-    except RoleMiningError as exc:
+    # ParseError is a RoleMiningError; so is UndefinedMetricError, which is
+    # also a ValueError but a data error.
+    except (OSError, RoleMiningError) as exc:
         _log(f"error: {exc}")
         return 1
     except ValueError as exc:

@@ -37,9 +37,10 @@ chunks reusable for later candidates.  A pool role that does not fit the
 remainder never fits again, so one pass over the pool in that order makes
 the same picks as repeatedly taking the best fitting role.
 
-The public stages (`initial_candidates`, `eliminate_union_roles`,
-`enforce_cardinality`) run the same cores on their arguments;
-`eliminate_union_roles` groups users by the roles they hold.
+The public stages (`initial_candidates`, `eliminate_union_roles`) run the
+same cores on their arguments.  `eliminate_union_roles` indexes the
+catalog as a matrix with one row per role and groups users by the roles
+they hold.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ from ._rowindex import (
     RowIndex,
     candidate_order,
     distinct_rows_by_size,
-    per_user,
+    held_positions,
     rarest_first_and,
+    rebuild,
     role_holders,
-    vertical,
 )
 from .lattice import finish_rows
 from .model import (
@@ -176,26 +177,16 @@ def eliminate_union_roles(
         raise IncompleteDecompositionError(
             "eliminate_union_roles requires a complete decomposition"
         )
-    keyed = sorted(
-        ((r.sorted_perms(), r) for r in d_in.roles), key=lambda e: (-len(e[0]), e[0])
+    # One row per role: the index holds the roles in visiting order with
+    # their columns, and a row's one user is the role's catalog position.
+    catalog = RowIndex(
+        AccessMatrix(len(d_in.roles), upa.n_perms, tuple(r.mask for r in d_in.roles))
     )
-    perms = [t for t, _ in keyed]
-    by_key = [r for _, r in keyed]
-    position = {r.id: i for i, r in enumerate(by_key)}
-    groups: dict[frozenset[int], list[int]] = {}
-    for u, assigned in enumerate(d_in.ua):
-        groups.setdefault(assigned, []).append(u)
-    held = [{position[rid] for rid in assigned} for assigned in groups]
-    columns, counts = vertical(perms, upa.n_perms)
-    removed = _eliminate([r.mask for r in by_key], perms, columns, counts, held)
-
-    kept = tuple(r for r in d_in.roles if not removed[position[r.id]])
-    ua_out = per_user(
-        groups.values(),
-        ({by_key[i].id for i in assigned} for assigned in held),
-        upa.n_users,
-    )
-    return Decomposition(roles=kept, ua=ua_out)
+    ids = [d_in.roles[pos].id for (pos,) in catalog.users]
+    groups = [users for _, _, users in distinct_rows_by_size(upa, d_in.ua)]
+    held = held_positions(d_in.ua, ids, groups)
+    _eliminate(catalog.masks, catalog.perms, catalog.columns, catalog.counts, held)
+    return rebuild(d_in, ids, held, groups)
 
 
 def _split(
@@ -220,36 +211,6 @@ def _split(
     leftover = sorted(perm_tuple(remainder), key=lambda p: (-freq[p], p))
     chunks = [tuple(sorted(leftover[i : i + k])) for i in range(0, len(leftover), k)]
     return taken, chunks
-
-
-def enforce_cardinality(
-    candidate: Iterable[int],
-    existing: Iterable[frozenset[int]],
-    k: int,
-    freq: Sequence[int] | None = None,
-) -> list[frozenset[int]]:
-    """Split a candidate into permission sets of size at most k.
-
-    Returns the covering sets in assignment order: reused catalog roles
-    first, then fresh chunks.  The returned sets are pairwise disjoint and
-    union to the candidate exactly; reused sets are the objects passed in,
-    never copies.  A candidate that already fits is returned as-is.
-    """
-    cand = frozenset(candidate)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(cand) <= k:
-        return [cand]
-    pool = sorted(
-        (e for e in existing if e <= cand), key=lambda e: (-len(e), sorted(e))
-    )
-    taken, chunks = _split(
-        mask_of(cand),
-        [mask_of(e) for e in pool],
-        k,
-        [0] * (max(cand) + 1) if freq is None else freq,
-    )
-    return [pool[i] for i in taken] + [frozenset(c) for c in chunks]
 
 
 def mine_constrained(

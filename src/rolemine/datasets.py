@@ -150,14 +150,12 @@ def serialize_decomposition(d: Decomposition) -> str:
     """
     order = sorted(d.roles, key=lambda r: (len(r.perms), r.sorted_perms()))
     renumber = {r.id: i for i, r in enumerate(order)}
-    lines = []
-    for i, r in enumerate(order):
-        lines.append("role %d: %s" % (i, " ".join(f"p{p}" for p in r.sorted_perms())))
+    lines = [serialize_catalog([r.perms for r in order])]
     for u, role_ids in enumerate(d.ua):
         if role_ids:
             ids = sorted(renumber[rid] for rid in role_ids)
-            lines.append("user %d: %s" % (u, " ".join(f"r{i}" for i in ids)))
-    return "".join(line + "\n" for line in lines)
+            lines.append("user %d: %s\n" % (u, " ".join(f"r{i}" for i in ids)))
+    return "".join(lines)
 
 
 def _number(text: str) -> int:
@@ -199,17 +197,19 @@ def _parse_line(
 
 def parse_decomposition(text: str, n_users: int) -> Decomposition:
     """Inverse of serialize_decomposition (users absent from the text get
-    empty assignments, which is why the user count must be supplied)."""
+    empty assignments, which is why the user count must be supplied).  A
+    role or user index given twice is an error at its second line."""
     role_sets: dict[int, frozenset[int]] = {}
-    ua = [frozenset()] * n_users
+    user_sets: dict[int, frozenset[int]] = {}
     for line_no, line in _logical_lines(text):
         kind, idx, numbers = _parse_line(line_no, line, ("role", "user"))
-        if kind == "role":
-            role_sets[idx] = numbers
-        elif idx < n_users:
-            ua[idx] = numbers
-        else:
+        if kind == "user" and idx >= n_users:
             raise ParseError(line_no, f"user {idx} out of range")
+        seen = role_sets if kind == "role" else user_sets
+        if idx in seen:
+            raise ParseError(line_no, f"{kind} {idx} defined again")
+        seen[idx] = numbers
+    ua = [user_sets.get(u, frozenset()) for u in range(n_users)]
     roles = tuple(Role(i, s) for i, s in sorted(role_sets.items()))
     return Decomposition(roles=roles, ua=tuple(ua))
 

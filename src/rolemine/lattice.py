@@ -11,8 +11,8 @@ construction.
 The pass runs on row groups, not users.  Users with the same row and the
 same roles are reassigned alike, so each group keeps one assignment.  Both
 miners end in `finish_rows`, which hands over their distinct-row index,
-where every user of a row holds the same roles; `lattice_reduce` groups
-users by (row, assigned roles) and builds columns over those groups.
+where every user of a row holds the same roles; `lattice_reduce` runs on
+the index keyed by assigned role set, whose positions are those groups.
 
 A role's fitting rows are the AND of its permissions' vertical bitmaps over
 rows (Eclat tid-lists, Zaki, TKDE 2000); each row keeps its fitting roles
@@ -31,7 +31,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._rowindex import RowIndex, per_user, rarest_first_and, role_holders, vertical
+from ._rowindex import (
+    RowIndex,
+    held_positions,
+    per_user,
+    rarest_first_and,
+    rebuild,
+    role_holders,
+)
 from .model import (
     AccessMatrix,
     ConstraintViolationError,
@@ -147,26 +154,14 @@ def lattice_reduce(upa: AccessMatrix, d: Decomposition, k: int) -> Decomposition
         raise ConstraintViolationError(
             f"input decomposition violates the constraint k={k}"
         )
-    if not d.roles:
-        return d
-
-    index = {r.id: i for i, r in enumerate(d.roles)}
-    groups: dict[tuple[int, frozenset[int]], list[int]] = {}
-    for u, key in enumerate(zip(upa.masks, d.ua)):
-        groups.setdefault(key, []).append(u)
-    held = [{index[rid] for rid in roles} for _, roles in groups]
-    columns, counts = vertical([perm_tuple(m) for m, _ in groups], upa.n_perms)
-    alive = reduce_rows(
+    index = RowIndex(upa, d.ua)
+    ids = [r.id for r in d.roles]
+    held = held_positions(d.ua, ids, index.users)
+    reduce_rows(
         [r.mask for r in d.roles],
         [r.sorted_perms() for r in d.roles],
-        columns,
-        counts,
+        index.columns,
+        index.counts,
         held,
     )
-    kept = tuple(r for r, keep in zip(d.roles, alive) if keep)
-    ua = per_user(
-        groups.values(),
-        ({d.roles[i].id for i in roles} for roles in held),
-        upa.n_users,
-    )
-    return Decomposition(roles=kept, ua=ua)
+    return rebuild(d, ids, held, index.users)

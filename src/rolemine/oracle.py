@@ -13,15 +13,9 @@ heuristics on small instances, not to solve real ones.
 
 from __future__ import annotations
 
+from .datasets import witness_assignment
 from .metrics import role_lower_bound
-from .model import (
-    AccessMatrix,
-    Decomposition,
-    Role,
-    RoleMiningError,
-    mask_of,
-    perm_tuple,
-)
+from .model import AccessMatrix, Decomposition, RoleMiningError, mask_of, perm_tuple
 
 MAX_PERMS = 6
 MAX_DISTINCT_ROWS = 6
@@ -94,7 +88,8 @@ def optimal_role_count(upa: AccessMatrix, k: int) -> tuple[int, Decomposition]:
             return False
 
         if dfs([0] * len(rows), budget):
-            return budget, _witness(upa, chosen)
+            witness = [frozenset(perm_tuple(m)) for m in chosen]
+            return budget, witness_assignment(upa, witness)
     raise AssertionError("chunked per-row cover bounds the optimum")
 
 
@@ -109,14 +104,3 @@ def _candidate_masks(rows: list[int], k: int) -> list[int]:
     # Larger candidates first so the DFS covers rows quickly.
     return sorted(seen, key=lambda m: (-m.bit_count(), perm_tuple(m)))
 
-
-def _witness(upa: AccessMatrix, chosen: list[int]) -> Decomposition:
-    order = sorted(chosen, key=lambda m: (m.bit_count(), perm_tuple(m)))
-    roles = tuple(Role(i, frozenset(perm_tuple(m))) for i, m in enumerate(order))
-    ua = tuple(
-        frozenset(i for i, m in enumerate(order) if m & ~row == 0)
-        if row
-        else frozenset()
-        for row in upa.masks
-    )
-    return Decomposition(roles=roles, ua=ua)

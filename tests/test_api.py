@@ -1,5 +1,7 @@
-"""The package surface: exported names resolve, and no module carries an
-import it never uses (a deleted helper must not leave one behind)."""
+"""The package surface: exported names resolve, no module carries an
+import it never uses (a deleted helper must not leave one behind), and no
+module-level function or class is dead: each is exported or named
+somewhere else in the package."""
 
 import ast
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 import rolemine
 
 PACKAGE = Path(rolemine.__file__).parent
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def test_every_exported_name_resolves():
@@ -41,3 +44,35 @@ def test_unused_import_is_found():
         "from .model import Role, mask_of\nimport os.path\nx = mask_of(())\n"
     )
     assert imported - used == {"Role", "os"}
+
+
+def _unreferenced_definitions(sources: list[str]) -> set[str]:
+    """Module-level functions and classes that no other top-level statement
+    of any source names, as a variable, an attribute or an import."""
+    defined, named = set(), set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            here = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    here.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    here.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    here.add(sub.asname or sub.name)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+                here.discard(node.name)
+            named |= here
+    return defined - named
+
+
+def test_every_definition_is_exported_or_used():
+    sources = [p.read_text(encoding="utf-8") for p in SOURCES]
+    assert _unreferenced_definitions(sources) - set(rolemine.__all__) == set()
+
+
+def test_unreferenced_definition_is_found():
+    first = "def used():\n    return 1\n\ndef dead():\n    return dead()\n"
+    second = "from .first import used\n\nclass Holder:\n    size = used()\n"
+    assert _unreferenced_definitions([first, second]) == {"dead", "Holder"}

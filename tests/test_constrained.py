@@ -12,7 +12,6 @@ from rolemine import (
     MiningConfig,
     Role,
     eliminate_union_roles,
-    enforce_cardinality,
     initial_candidates,
     is_complete,
     mine_constrained,
@@ -20,7 +19,8 @@ from rolemine import (
     satisfies_constraint,
     serialize_decomposition,
 )
-from rolemine.model import perm_tuple
+from rolemine.constrained import _split
+from rolemine.model import mask_of, perm_tuple
 from rolemine.rng import SplitMix64
 
 from conftest import guard_instance, mixed_instances, synthetic_instance
@@ -279,31 +279,31 @@ def test_union_elimination_matches_reference_when_row_users_differ(instance):
     )
 
 
-# --- enforce_cardinality -----------------------------------------------------
+# --- _split -------------------------------------------------------------------
+
+def _pieces(candidate, pool, k, freq):
+    """_split on permission sets: the pool sets taken, then the chunks."""
+    taken, chunks = _split(mask_of(candidate), [mask_of(e) for e in pool], k, freq)
+    return [pool[i] for i in taken] + [frozenset(c) for c in chunks]
+
 
 def test_split_plain_chunks():
     # equal frequencies: order falls back to ascending permission index
-    got = enforce_cardinality({0, 1, 2, 3, 4}, [], 2)
+    got = _pieces({0, 1, 2, 3, 4}, [], 2, [0] * 5)
     assert got == [frozenset({0, 1}), frozenset({2, 3}), frozenset({4})]
 
 
-def test_split_noop_when_fits():
-    assert enforce_cardinality({0, 1}, [], 2) == [frozenset({0, 1})]
-
-
 def test_split_reuses_existing_subset_role():
-    existing = [frozenset({1, 2})]
-    got = enforce_cardinality({0, 1, 2}, existing, 2)
+    got = _pieces({0, 1, 2}, [frozenset({1, 2})], 2, [0] * 3)
     assert got == [frozenset({1, 2}), frozenset({0})]
-    assert got[0] is existing[0]  # reused by reference, not copied
-    union = frozenset().union(*got)
-    assert union == {0, 1, 2}
+    assert frozenset().union(*got) == {0, 1, 2}
     assert all(len(s) <= 2 for s in got)
 
 
 def test_split_pieces_are_disjoint_and_cover():
-    existing = [frozenset({0, 1}), frozenset({2}), frozenset({5, 6})]
-    got = enforce_cardinality({0, 1, 2, 3, 4, 5, 6}, existing, 3)
+    # the pool in cover order: largest first, ties by permission tuple
+    pool = [frozenset({0, 1}), frozenset({5, 6}), frozenset({2})]
+    got = _pieces({0, 1, 2, 3, 4, 5, 6}, pool, 3, [0] * 7)
     union = set()
     total = 0
     for s in got:
@@ -317,13 +317,8 @@ def test_split_pieces_are_disjoint_and_cover():
 def test_split_frequency_ordering():
     # perm 4 is the most frequent, so it leads the leftover ordering
     freq = [1, 1, 5, 1, 9]
-    got = enforce_cardinality({0, 2, 4}, [], 2, freq=freq)
+    got = _pieces({0, 2, 4}, [], 2, freq)
     assert got == [frozenset({4, 2}), frozenset({0})]
-
-
-def test_split_rejects_bad_k():
-    with pytest.raises(ValueError):
-        enforce_cardinality({0, 1}, [], 0)
 
 
 # --- mine_constrained --------------------------------------------------------

@@ -215,6 +215,17 @@ def test_parse_decomposition_rejects_bad_role_with_line_number(line):
     assert err.value.line_no == 3
 
 
+
+@pytest.mark.parametrize("text", [
+    "role 0: p0\n# again\n\nrole 0: p1\nuser 0: r0\n",
+    "role 0: p0\nuser 0: r0\n\nuser 0: r0\n",
+])
+def test_parse_decomposition_rejects_repeated_index_with_line_number(text):
+    with pytest.raises(ParseError) as err:
+        parse_decomposition(text, 1)
+    assert err.value.line_no == 4
+
+
 # Token soup for the fuzz tests below: the keywords and token shapes the
 # parsers branch on.  Numbers stay short: parse_decomposition turns a
 # permission index into a bit position, so memory grows with its value.

@@ -150,6 +150,8 @@ def test_distinct_rows_groups_identical_rows():
 def test_distinct_rows_leaves_out_empty_rows():
     upa = AccessMatrix.from_rows([[], [0], []])
     assert distinct_rows_by_size(upa) == [((0,), 0b1, [1])]
+    ua = [frozenset(), frozenset({0}), frozenset()]
+    assert distinct_rows_by_size(upa, ua) == [((0,), 0b1, [1])]
 
 
 def test_distinct_rows_all_distinct():
@@ -177,6 +179,42 @@ def test_distinct_rows_partitions_users(rows):
         assert all(upa.masks[u] == mask for u in users)
     keys = [(-len(perms), perms) for perms, _, _ in groups]
     assert keys == sorted(set(keys))
+
+
+
+def test_distinct_rows_keyed_by_role_set_splits_a_row():
+    # users 0 and 2 share row {0, 1} but hold different roles
+    upa = AccessMatrix.from_rows([{0, 1}, {2}, {0, 1}, {0, 1}])
+    ua = [frozenset({5}), frozenset({7}), frozenset({3, 4}), frozenset({5})]
+    assert distinct_rows_by_size(upa, ua) == [
+        ((0, 1), 0b011, [0, 3]),
+        ((0, 1), 0b011, [2]),
+        ((2,), 0b100, [1]),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sets(st.integers(min_value=0, max_value=5), max_size=6),
+            st.integers(min_value=0, max_value=2),
+        ),
+        max_size=10,
+    )
+)
+def test_distinct_rows_keyed_groups_share_one_row(drawn):
+    # the key is (row, choice), so it fixes the row as a role set does
+    upa = AccessMatrix.from_rows([row for row, _ in drawn], n_perms=6)
+    keys = [(m, choice) for m, (_, choice) in zip(upa.masks, drawn)]
+    groups = distinct_rows_by_size(upa, keys)
+    members = [u for _, _, users in groups for u in users]
+    assert sorted(members) == [u for u in range(upa.n_users) if upa.masks[u]]
+    for perms, mask, users in groups:
+        assert perms == perm_tuple(mask)
+        assert all(upa.masks[u] == mask for u in users)
+        assert len({keys[u] for u in users}) == 1
+    assert len({keys[users[0]] for _, _, users in groups}) == len(groups)
 
 
 # --- feasibility witness -----------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ from rolemine import (
     is_complete,
     optimal_role_count,
     satisfies_constraint,
+    serialize_decomposition,
 )
 from rolemine.model import perm_tuple
 
@@ -111,3 +113,16 @@ def test_k1_needs_one_role_per_used_permission():
     for m in upa.masks:
         used.update(perm_tuple(m))
     assert count == len(used)
+
+
+def test_witness_bytes_pinned_on_criterion_2_instances():
+    # SHA-256 over the serialized witnesses of acceptance criterion 2's 200
+    # tiny instances, pinned before the witness was built through
+    # witness_assignment.
+    h = hashlib.sha256()
+    for i in range(200):
+        upa, k = tiny_instance(31_000 + i)
+        h.update(serialize_decomposition(optimal_role_count(upa, k)[1]).encode())
+    assert h.hexdigest() == (
+        "c9ccd914707d2340484cd367de5c023f17230ecce84c03be6359942faf2170d9"
+    )
