@@ -8,14 +8,14 @@ union elimination's order: size descending, then permission tuple.  Each
 permission has a vertical bitmap over positions (an Eclat tid-list, Zaki,
 "Scalable algorithms for association mining", TKDE 2000): "the rows that
 contain permission set S" is the AND of S's columns.  Both miners build
-one index per run and end in `lattice.finish_rows`, which hands its
-columns to the lattice core; CRM starts its uncovered-cell bitmaps and
-permission frequencies from it.
+one index per run and hand its columns to the lattice core; CRM starts its
+uncovered-cell bitmaps and permission frequencies from it.
 
 `distinct_rows_by_size` is the one place users are grouped.  The miners
 group by row.  `eliminate_union_roles` and `lattice_reduce` take a complete
 decomposition, whose users of one row may hold different roles, and group
-by the assigned role set, which fixes the row; both end in `rebuild`.
+by the assigned role set, which fixes the row.  Every stage hands back only
+its per-group role sets, and `rebuild`, the one builder, makes its result.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import repeat
 from operator import invert
 from typing import Hashable, Iterable, Sequence
 
-from .model import AccessMatrix, Decomposition, perm_tuple
+from .model import AccessMatrix, Decomposition, Role, perm_tuple
 
 
 def tidlists(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
@@ -57,46 +57,33 @@ def bitmaps(lists: Sequence[Sequence[int]], n_rows: int) -> list[int]:
     return out
 
 
-def per_user(
-    users: Iterable[Sequence[int]], assigned: Iterable[Iterable[int]], n_users: int
-) -> tuple[frozenset[int], ...]:
-    """Expand per-group role sets to the per-user assignment; a user in no
-    group gets no roles."""
-    ua: list[frozenset[int]] = [frozenset()] * n_users
-    for group, roles in zip(users, assigned):
-        shared = frozenset(roles)
-        for u in group:
-            ua[u] = shared
-    return tuple(ua)
-
-
 def held_positions(
     ua: Sequence[Iterable[int]], ids: Sequence[int], users: Iterable[Sequence[int]]
 ) -> list[set[int]]:
     """Per group of `users`, the positions of the roles its users hold in
-    `ua`, where ``ids[i]`` is the id of position i; `rebuild` inverts it."""
+    `ua`, where ``ids[i]`` is the id of position i."""
     position = {rid: i for i, rid in enumerate(ids)}
     return [{position[rid] for rid in ua[group[0]]} for group in users]
 
 
 def rebuild(
-    d: Decomposition,
-    ids: Sequence[int],
-    held: Iterable[Iterable[int]],
+    roles: Sequence[Role],
+    held: Sequence[Iterable[int]],
     users: Iterable[Sequence[int]],
+    n_users: int,
 ) -> Decomposition:
-    """`d` after a stage that dropped roles and moved each group's
-    assignment: ``held[g]`` holds the role positions of the group whose
-    users are ``users[g]``, and ``ids[i]`` is the id of position i.  A
-    stage hands a dropped role's groups other roles and never takes a kept
-    role from its last group, so the roles still held are the ones kept;
-    they stay in d's order with their ids."""
-    assigned = [{ids[i] for i in roles} for roles in held]
-    live = set().union(*assigned)
-    return Decomposition(
-        roles=tuple(r for r in d.roles if r.id in live),
-        ua=per_user(users, assigned, len(d.ua)),
-    )
+    """The decomposition after a stage: ``held[g]`` holds the role ids of
+    the group whose users are ``users[g]``, and a user in no group gets no
+    roles.  A stage hands a dropped role's groups other roles and never
+    takes a kept role from its last group, so the roles still held are the
+    ones kept; they stay in `roles` order."""
+    ua: list[frozenset[int]] = [frozenset()] * n_users
+    for group, ids in zip(users, held):
+        shared = frozenset(ids)
+        for u in group:
+            ua[u] = shared
+    live = set().union(*held)
+    return Decomposition(roles=tuple(r for r in roles if r.id in live), ua=tuple(ua))
 
 
 def role_holders(held: Sequence[Iterable[int]], n_roles: int) -> list[set[int]]:

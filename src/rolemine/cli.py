@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -100,6 +101,10 @@ def cmd_mine(args: argparse.Namespace) -> int:
     if args.k < 1:
         _log("error: k must be >= 1")
         return 2
+    names_path = args.output + ".names.json"
+    if len({os.path.realpath(p) for p in (args.output, args.metrics, names_path)}) < 3:
+        _log("error: --output, --metrics and <output>.names.json must differ")
+        return 2
     upa, sparse_result = _load_matrix(args.input, args.format)
     truth = None
     if args.truth:
@@ -120,7 +125,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
     _write_text(args.output, serialize_decomposition(d))
     payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
     _write_text(args.metrics, payload)
-    names_path = args.output + ".names.json"
     if sparse_result is not None and not (
         names_are_indices(sparse_result.user_names)
         and names_are_indices(sparse_result.perm_names)
@@ -172,7 +176,10 @@ def _parse_gen_spec(spec: str, seed: int) -> GeneratorParams:
         key, eq, value = part.partition("=")
         if not eq:
             raise ValueError(f"bad gen-spec entry {part!r} (want key=value)")
-        fields[key.strip()] = int(value)
+        key = key.strip()
+        if key in fields:
+            raise ValueError(f"gen-spec key {key!r} is given twice")
+        fields[key] = int(value)
     try:
         return GeneratorParams(seed=seed, **fields)
     except TypeError:
@@ -193,6 +200,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         _log("error: provide exactly one of --input or --gen-spec")
         return 2
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos:
+        _log("error: --algos names no algorithm")
+        return 2
     for algo in algos:
         if algo not in _MINERS:
             _log(f"error: unknown algorithm {algo!r}")

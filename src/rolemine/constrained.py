@@ -21,7 +21,8 @@ frequency of each permission.  The candidates are the index rows; a
 candidate's id is its rank in (size ascending, smallest user) order.  Every
 user of a row holds the same roles through union elimination, the split
 and the lattice, so assignments are kept per row and expanded to users
-once, at the end, in the tail shared with CRM (`lattice.finish_rows`).
+once, at the end, by the one builder shared with CRM (`_rowindex.rebuild`),
+after one lattice sweep (`lattice.reduce_rows`) unless it is disabled.
 
 Union elimination reads "which candidates lie inside candidate r" from the
 index: ANDing r's columns gives its supersets, and inverting that relation
@@ -58,7 +59,7 @@ from ._rowindex import (
     rebuild,
     role_holders,
 )
-from .lattice import finish_rows
+from .lattice import reduce_rows
 from .model import (
     AccessMatrix,
     Decomposition,
@@ -108,9 +109,8 @@ def _eliminate(
     columns: Sequence[int],
     counts: Sequence[int],
     held: list[set[int]],
-) -> list[bool]:
-    """Union elimination over roles in visiting order; returns which roles
-    were removed.
+) -> None:
+    """Union elimination over roles in visiting order.
 
     Roles are given by mask and permission tuple, largest first and ties by
     permission tuple; `columns` and `counts` index them by permission.
@@ -125,7 +125,6 @@ def _eliminate(
             subs[i].append(j)
     holders = role_holders(held, len(masks))
 
-    removed = [False] * len(masks)
     for i, m in enumerate(masks):
         # Every role in subs[i] is strictly smaller than role i, hence later
         # in the visiting order and not yet visited: none has been removed.
@@ -142,14 +141,11 @@ def _eliminate(
                 remainder &= ~masks[j]
                 if not remainder:
                     break
-        removed[i] = True
         for g in holders[i]:
             held[g].discard(i)
             held[g].update(cover)
             for c in cover:
                 holders[c].add(g)
-        holders[i] = set()
-    return removed
 
 
 def eliminate_union_roles(
@@ -186,7 +182,8 @@ def eliminate_union_roles(
     groups = [users for _, _, users in distinct_rows_by_size(upa, d_in.ua)]
     held = held_positions(d_in.ua, ids, groups)
     _eliminate(catalog.masks, catalog.perms, catalog.columns, catalog.counts, held)
-    return rebuild(d_in, ids, held, groups)
+    assigned = [{ids[i] for i in roles} for roles in held]
+    return rebuild(d_in.roles, assigned, groups, upa.n_users)
 
 
 def _split(
@@ -222,7 +219,10 @@ def mine_constrained(
     index = RowIndex(upa)
     # Row i starts out holding candidate role i, the row itself.
     held = [{i} for i in range(len(index.masks))]
-    removed = _eliminate(index.masks, index.perms, index.columns, index.counts, held)
+    _eliminate(index.masks, index.perms, index.columns, index.counts, held)
+    # Row i holds candidate i until i is removed, and covers made after
+    # that hold only smaller candidates, so i is kept iff a row holds it.
+    kept = set().union(*held)
 
     cat_masks: list[int] = []
     cat_perms: list[tuple[int, ...]] = []
@@ -240,7 +240,7 @@ def mine_constrained(
 
     pieces: dict[int, tuple[int, ...]] = {}
     for i in candidate_order(index.perms, index.users):
-        if removed[i]:
+        if i not in kept:
             continue
         m, perms = index.masks[i], index.perms[i]
         if len(perms) <= k:
@@ -256,4 +256,7 @@ def mine_constrained(
         )
 
     roles = [set(chain.from_iterable(pieces[c] for c in cands)) for cands in held]
-    return finish_rows(index, cat_masks, cat_perms, roles, lattice, upa.n_users)
+    if lattice:
+        reduce_rows(cat_masks, cat_perms, index.columns, index.counts, roles)
+    catalog = [Role(i, frozenset(t)) for i, t in enumerate(cat_perms)]
+    return rebuild(catalog, roles, index.users, upa.n_users)

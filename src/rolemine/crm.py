@@ -36,23 +36,24 @@ permission; such entries are dropped and every other entry stays valid.
 The output is that of re-clustering and re-truncating every round.
 
 Assignments are kept per row.  With the lattice on, a per-row check that
-each row's roles union to its mask comes first.  The miners' shared tail
-(`lattice.finish_rows`) then runs the lattice pass over the index columns,
-which equals `lattice_reduce` on the raw output, and expands the rows to
-users once.
+each row's roles union to its mask comes first.  Then one lattice sweep
+(`lattice.reduce_rows`) runs over the index columns, which equals
+`lattice_reduce` on the raw output, and the one builder shared with the
+constrained miner (`_rowindex.rebuild`) expands the rows to users once.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from ._rowindex import RowIndex
-from .lattice import finish_rows
+from ._rowindex import RowIndex, rebuild
+from .lattice import reduce_rows
 from .model import (
     AccessMatrix,
     Decomposition,
     IncompleteDecompositionError,
     MiningConfig,
+    Role,
     mask_of,
     perm_tuple,
 )
@@ -174,4 +175,6 @@ def mine_crm(
                 raise IncompleteDecompositionError(
                     "CRM left a row uncovered before the lattice pass"
                 )
-    return finish_rows(index, role_masks, role_perms, held, lattice, upa.n_users)
+        reduce_rows(role_masks, role_perms, index.columns, index.counts, held)
+    catalog = [Role(i, frozenset(t)) for i, t in enumerate(role_perms)]
+    return rebuild(catalog, held, index.users, upa.n_users)

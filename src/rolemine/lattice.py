@@ -3,16 +3,16 @@
 A role is redundant when, for every user holding it, each of its permissions
 is also available from some other catalog role that fits inside that user's
 row.  Redundant roles are removed largest first and their users reassigned
-greedily (largest fitting role first); the sweep repeats until no role can
-be removed.  The pass never adds or merges roles, so the catalog can only
-shrink and completeness and the cardinality bound are preserved by
-construction.
+greedily (largest fitting role first), in one sweep: a role kept once can
+never become removable later, so the sweep ends at a fixpoint.  The pass
+never adds or merges roles, so the catalog can only shrink and
+completeness and the cardinality bound are preserved by construction.
 
 The pass runs on row groups, not users.  Users with the same row and the
-same roles are reassigned alike, so each group keeps one assignment.  Both
-miners end in `finish_rows`, which hands over their distinct-row index,
-where every user of a row holds the same roles; `lattice_reduce` runs on
-the index keyed by assigned role set, whose positions are those groups.
+same roles are reassigned alike, so each group keeps one assignment.  The
+miners run `reduce_rows` on their distinct-row index, where every user of
+a row holds the same roles, and `lattice_reduce` on the index keyed by
+assigned role set; all hand the groups' roles to one builder, `rebuild`.
 
 A role's fitting rows are the AND of its permissions' vertical bitmaps over
 rows (Eclat tid-lists, Zaki, TKDE 2000); each row keeps its fitting roles
@@ -34,7 +34,6 @@ from typing import Sequence
 from ._rowindex import (
     RowIndex,
     held_positions,
-    per_user,
     rarest_first_and,
     rebuild,
     role_holders,
@@ -44,7 +43,6 @@ from .model import (
     ConstraintViolationError,
     Decomposition,
     IncompleteDecompositionError,
-    Role,
     is_complete,
     perm_tuple,
     satisfies_constraint,
@@ -57,8 +55,8 @@ def reduce_rows(
     columns: Sequence[int],
     counts: Sequence[int],
     held: list[set[int]],
-) -> list[bool]:
-    """The lattice pass over row groups; returns which roles stay.
+) -> None:
+    """The lattice pass over row groups, in one sweep.
 
     Roles are given by mask and permission tuple; `columns` and `counts`
     index the groups by permission.  ``held[g]`` is the set of roles group
@@ -90,62 +88,40 @@ def reduce_rows(
             stale[g] = False
         return twice[g]
 
-    changed = True
-    while changed:
-        changed = False
-        for i in order:
-            m = masks[i]
-            if not alive[i] or any(m & ~covered_twice(g) for g in holders[i]):
+    # One sweep: a live role's test only gets harder, as twice[g] shrinks
+    # when roles die and its holders only grow, so a role that fails the
+    # test once fails it for good.
+    for i in order:
+        m = masks[i]
+        if any(m & ~covered_twice(g) for g in holders[i]):
+            continue
+        alive[i] = False
+        for g in fit_rows[i]:
+            stale[g] = True
+        # Each group is reassigned from its own roles and the live set
+        # alone, so the order of groups does not matter.
+        for g in holders[i]:
+            roles = held[g]
+            roles.discard(i)
+            still = 0
+            for other in roles:
+                still |= masks[other]
+            remainder = m & ~still
+            if not remainder:
                 continue
-            alive[i] = False
-            for g in fit_rows[i]:
-                stale[g] = True
-            # Each group is reassigned from its own roles and the live set
-            # alone, so the order of groups does not matter.
-            for g in holders[i]:
-                roles = held[g]
-                roles.discard(i)
-                still = 0
-                for other in roles:
-                    still |= masks[other]
-                remainder = m & ~still
-                if not remainder:
-                    continue
-                for cand in fits[g]:
-                    if alive[cand] and masks[cand] & remainder:
-                        roles.add(cand)
-                        holders[cand].add(g)
-                        remainder &= ~masks[cand]
-                        if not remainder:
-                            break
-                assert remainder == 0, "redundancy test guaranteed a cover"
-            holders[i] = set()
-            changed = True
-    return alive
-
-
-def finish_rows(
-    index: RowIndex,
-    masks: Sequence[int],
-    perms: Sequence[tuple[int, ...]],
-    held: list[set[int]],
-    lattice: bool,
-    n_users: int,
-) -> Decomposition:
-    """Both miners' tail: the lattice pass over the index rows if `lattice`
-    is set, then the roles that stay.  Role i is ``masks[i]``, ``perms[i]``;
-    ``held[g]``, the roles of index row g, is updated in place."""
-    keep = [True] * len(masks)
-    if lattice:
-        keep = reduce_rows(masks, perms, index.columns, index.counts, held)
-    return Decomposition(
-        roles=tuple(Role(i, frozenset(t)) for i, t in enumerate(perms) if keep[i]),
-        ua=per_user(index.users, held, n_users),
-    )
+            for cand in fits[g]:
+                if alive[cand] and masks[cand] & remainder:
+                    roles.add(cand)
+                    holders[cand].add(g)
+                    remainder &= ~masks[cand]
+                    if not remainder:
+                        break
+            assert remainder == 0, "redundancy test guaranteed a cover"
 
 
 def lattice_reduce(upa: AccessMatrix, d: Decomposition, k: int) -> Decomposition:
-    """Remove redundant roles; idempotent once a fixpoint is reached."""
+    """Remove redundant roles; the one sweep ends at a fixpoint, so the
+    pass is idempotent."""
     if not is_complete(upa, d):
         raise IncompleteDecompositionError(
             "lattice_reduce requires a complete decomposition"
@@ -157,11 +133,8 @@ def lattice_reduce(upa: AccessMatrix, d: Decomposition, k: int) -> Decomposition
     index = RowIndex(upa, d.ua)
     ids = [r.id for r in d.roles]
     held = held_positions(d.ua, ids, index.users)
-    reduce_rows(
-        [r.mask for r in d.roles],
-        [r.sorted_perms() for r in d.roles],
-        index.columns,
-        index.counts,
-        held,
-    )
-    return rebuild(d, ids, held, index.users)
+    masks = [r.mask for r in d.roles]
+    perms = [r.sorted_perms() for r in d.roles]
+    reduce_rows(masks, perms, index.columns, index.counts, held)
+    assigned = [{ids[i] for i in roles} for roles in held]
+    return rebuild(d.roles, assigned, index.users, upa.n_users)

@@ -65,19 +65,8 @@ class MetricsReport:
     def to_json_dict(self) -> dict:
         """Field order follows JSON_FIELDS; exact rationals become canonical
         fraction strings ("6", "1/2") so no precision is lost in transit."""
-        return {
-            "r_count": self.r_count,
-            "ua_size": self.ua_size,
-            "pa_size": self.pa_size,
-            "wsc": str(self.wsc),
-            "accuracy": None if self.accuracy is None else str(self.accuracy),
-            "distance": None if self.distance is None else str(self.distance),
-            "elapsed_ms": self.elapsed_ms,
-            "algorithm": self.algorithm,
-            "k": self.k,
-            "dataset": self.dataset,
-            "seed": self.seed,
-        }
+        fields = ((f, getattr(self, f)) for f in JSON_FIELDS)
+        return {f: str(v) if isinstance(v, Fraction) else v for f, v in fields}
 
     def csv_values(self) -> list[str]:
         d = self.to_json_dict()

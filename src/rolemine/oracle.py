@@ -74,7 +74,8 @@ def optimal_role_count(upa: AccessMatrix, k: int) -> tuple[int, Decomposition]:
                 return False
             missing = rows[target] & ~covered[target]
             for cand in fits_in_row[target]:
-                if cand & missing == 0 or cand in chosen:
+                # A chosen candidate that fits this row is in its coverage.
+                if cand & missing == 0:
                     continue
                 chosen.append(cand)
                 nxt = [
@@ -84,7 +85,8 @@ def optimal_role_count(upa: AccessMatrix, k: int) -> tuple[int, Decomposition]:
                 if dfs(nxt, remaining - 1):
                     return True
                 chosen.pop()
-            failed[state] = max(failed.get(state, -1), remaining)
+            # Coverage grows along a path, so the subtree never stored state.
+            failed[state] = remaining
             return False
 
         if dfs([0] * len(rows), budget):

@@ -1,7 +1,7 @@
-"""The package surface: exported names resolve, no module carries an
-import it never uses (a deleted helper must not leave one behind), and no
-module-level function or class is dead: each is exported or named
-somewhere else in the package."""
+"""The package surface: exported names resolve, no module or test file
+carries an import it never uses (a deleted helper must not leave one
+behind), and no module-level function or class is dead: each is exported
+or named somewhere else in the package."""
 
 import ast
 from pathlib import Path
@@ -13,6 +13,7 @@ import rolemine
 PACKAGE = Path(rolemine.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -33,7 +34,7 @@ def _imported_and_used(source: str) -> tuple[set[str], set[str]]:
     return imported, used
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     imported, used = _imported_and_used(path.read_text(encoding="utf-8"))
     assert imported - used == set()

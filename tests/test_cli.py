@@ -114,6 +114,19 @@ def test_mine_rejects_k_zero(tmp_path, sparse_file):
     assert "k must be >= 1" in proc.stderr
 
 
+@pytest.mark.parametrize("metrics", ["roles.txt", "./roles.txt", "roles.txt.names.json"])
+def test_mine_rejects_clashing_output_paths(tmp_path, metrics):
+    # Checked before the input is read: a missing input would exit 1.
+    proc = run_cli(
+        "mine", "--algo", "constrained", "--k", "2",
+        "--input", str(tmp_path / "missing.txt"),
+        "--output", str(tmp_path / "roles.txt"), "--metrics", f"{tmp_path}/{metrics}",
+    )
+    assert proc.returncode == 2
+    assert "must differ" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mine_missing_input_is_io_error(tmp_path):
     proc = run_cli(
         "mine", "--algo", "crm", "--k", "2",
@@ -298,6 +311,31 @@ def test_compare_unknown_algo(tmp_path, sparse_file):
     )
     assert proc.returncode == 2
     assert "unknown algorithm" in proc.stderr
+
+
+def test_compare_rejects_empty_algo_list(tmp_path, sparse_file):
+    out = tmp_path / "t.csv"
+    proc = run_cli(
+        "compare", "--input", str(sparse_file), "--k-list", "2",
+        "--algos", ",", "--out", str(out),
+    )
+    assert proc.returncode == 2
+    assert "no algorithm" in proc.stderr
+    assert not out.exists()
+
+
+def test_compare_gen_spec_rejects_repeated_key(tmp_path):
+    out = tmp_path / "t.csv"
+    proc = run_cli(
+        "compare",
+        "--gen-spec",
+        "n_users=3,n_perms=10,n_roles=4,max_roles_per_user=2,"
+        "max_perms_per_role=3,n_users=9",
+        "--k-list", "3", "--out", str(out),
+    )
+    assert proc.returncode == 2
+    assert "'n_users' is given twice" in proc.stderr
+    assert not out.exists()
 
 
 def test_compare_needs_exactly_one_source(tmp_path, sparse_file):

@@ -169,6 +169,15 @@ def test_lattice_matches_reference_when_row_users_differ(instance):
     assert lattice_reduce(upa, d, k) == _reference_lattice_reduce(upa, d, k)
 
 
+@settings(max_examples=300, deadline=None)
+@given(mixed_instances())
+def test_one_sweep_is_a_fixpoint_when_row_users_differ(instance):
+    # The pass sweeps once; a second pass over its output removes nothing.
+    upa, k, d = instance
+    once = lattice_reduce(upa, d, k)
+    assert lattice_reduce(upa, once, k) == once
+
+
 @st.composite
 def _witness_instances(draw):
     """Every user holds every catalog role inside its row: a catalog of
