@@ -74,6 +74,19 @@ def _read_text(path: str) -> str:
         ) from None
 
 
+def _paths_clash(writes: dict[str, str], reads: dict[str, str | None]) -> bool:
+    """Log and return True when a file to write, named by flag, is another
+    one to write or one to read (unset reads are None); run before any input
+    is read, so a clash leaves every file as it was."""
+    seen = {os.path.realpath(path): flag for flag, path in reads.items() if path}
+    for flag, path in writes.items():
+        other = seen.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            _log(f"error: {other} and {flag} name one file; they must differ")
+            return True
+    return False
+
+
 def _load_matrix(path: str, fmt: str):
     text = _read_text(path)
     if fmt == "sparse":
@@ -102,8 +115,9 @@ def cmd_mine(args: argparse.Namespace) -> int:
         _log("error: k must be >= 1")
         return 2
     names_path = args.output + ".names.json"
-    if len({os.path.realpath(p) for p in (args.output, args.metrics, names_path)}) < 3:
-        _log("error: --output, --metrics and <output>.names.json must differ")
+    writes = {"--output": args.output, "--metrics": args.metrics,
+              "<output>.names.json": names_path}
+    if _paths_clash(writes, {"--input": args.input, "--truth": args.truth}):
         return 2
     upa, sparse_result = _load_matrix(args.input, args.format)
     truth = None
@@ -146,6 +160,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if _paths_clash({"--out-upa": args.out_upa, "--out-truth": args.out_truth}, {}):
+        return 2
     params = GeneratorParams(
         n_users=args.n_users,
         n_perms=args.n_perms,
@@ -198,6 +214,8 @@ def _compare_cell(name, upa, truth, algo, k, seed, lattice) -> list[str]:
 def cmd_compare(args: argparse.Namespace) -> int:
     if bool(args.input) == bool(args.gen_spec):
         _log("error: provide exactly one of --input or --gen-spec")
+        return 2
+    if _paths_clash({"--out": args.out}, {"--input": args.input}):
         return 2
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     if not algos:

@@ -36,7 +36,8 @@ at most k permissions, ordered by descending global permission frequency in
 the matrix (ties by ascending index).  Grouping frequent permissions keeps
 chunks reusable for later candidates.  A pool role that does not fit the
 remainder never fits again, so one pass over the pool in that order makes
-the same picks as repeatedly taking the best fitting role.
+the same picks as repeatedly taking the best fitting role.  The catalog only
+grows: no chunk equals a catalog role, which would have been taken first.
 
 The public stages (`initial_candidates`, `eliminate_union_roles`) run the
 same cores on their arguments.  `eliminate_union_roles` indexes the
@@ -226,17 +227,16 @@ def mine_constrained(
 
     cat_masks: list[int] = []
     cat_perms: list[tuple[int, ...]] = []
-    ids: dict[int, int] = {}
     by_min_perm: dict[int, list[int]] = {}
 
     def _add(m: int, perms: tuple[int, ...]) -> int:
-        cid = ids.get(m)
-        if cid is None:
-            cid = ids[m] = len(cat_masks)
-            cat_masks.append(m)
-            cat_perms.append(perms)
-            by_min_perm.setdefault(perms[0], []).append(cid)
-        return cid
+        # `m` is new: small candidates are distinct rows and come first, and
+        # a catalog role equal to a chunk lies in the candidate, so in the
+        # pool, and in the remainder at its turn, so `_split` takes it.
+        cat_masks.append(m)
+        cat_perms.append(perms)
+        by_min_perm.setdefault(perms[0], []).append(len(cat_masks) - 1)
+        return len(cat_masks) - 1
 
     pieces: dict[int, tuple[int, ...]] = {}
     for i in candidate_order(index.perms, index.users):

@@ -106,7 +106,8 @@ def names_are_indices(names: Iterable[str]) -> bool:
 
 
 def parse_dense(text: str) -> AccessMatrix:
-    """Parse '0'/'1' rows; all rows must have equal length."""
+    """Parse '0'/'1' rows of equal length; column j is bit j, so a row
+    reversed is its mask in base 2, which int() reads at any length."""
     masks: list[int] = []
     width: int | None = None
     for line_no, line in _logical_lines(text):
@@ -116,27 +117,22 @@ def parse_dense(text: str) -> AccessMatrix:
             raise ParseError(
                 line_no, f"ragged row: expected {width} columns, got {len(line)}"
             )
-        m = 0
-        for col, ch in enumerate(line):
-            if ch == "1":
-                m |= 1 << col
-            elif ch != "0":
-                raise ParseError(
-                    line_no, f"column {col + 1}: invalid character {ch!r}"
-                )
-        masks.append(m)
+        col = width - len(line.lstrip("01"))
+        if col < width:
+            raise ParseError(
+                line_no, f"column {col + 1}: invalid character {line[col]!r}"
+            )
+        masks.append(int(line[::-1], 2))
     return AccessMatrix(
         n_users=len(masks), n_perms=width or 0, masks=tuple(masks)
     )
 
 
 def serialize_dense(upa: AccessMatrix) -> str:
-    lines = []
-    for m in upa.masks:
-        lines.append(
-            "".join("1" if (m >> j) & 1 else "0" for j in range(upa.n_perms))
-        )
-    return "".join(line + "\n" for line in lines)
+    """One '0'/'1' row per user, column j being bit j; a sentinel bit at
+    n_perms fixes the width of bin()'s digits, which are reversed."""
+    top = 1 << upa.n_perms
+    return "".join(bin(m | top)[:2:-1] + "\n" for m in upa.masks)
 
 
 # --- decomposition / catalog text form --------------------------------------
@@ -292,12 +288,7 @@ def generate(params: GeneratorParams) -> tuple[AccessMatrix, tuple[frozenset[int
     for _ in range(params.n_roles):
         size = rng.randint(1, params.max_perms_per_role)
         drawn.append(frozenset(rng.sample(params.n_perms, size)))
-    truth: list[frozenset[int]] = []
-    seen = set()
-    for role in drawn:
-        if role not in seen:
-            seen.add(role)
-            truth.append(role)
+    truth = tuple(dict.fromkeys(drawn))  # first draws, in draw order
     role_masks = [mask_of(r) for r in truth]
     cap = min(params.max_roles_per_user, len(truth))
     masks = []
@@ -310,7 +301,7 @@ def generate(params: GeneratorParams) -> tuple[AccessMatrix, tuple[frozenset[int
     upa = AccessMatrix(
         n_users=params.n_users, n_perms=params.n_perms, masks=tuple(masks)
     )
-    return upa, tuple(truth)
+    return upa, truth
 
 
 def witness_assignment(
@@ -323,15 +314,12 @@ def witness_assignment(
     dropped so the result carries no orphans.
     """
     role_masks = [mask_of(s) for s in catalog]
-    used: list[int] = []
     per_user: list[list[int]] = [[] for _ in range(upa.n_users)]
+    # Catalog position -> id, numbered in order of first use.
     new_id: dict[int, int] = {}
     for u, row in enumerate(upa.masks):
         for i, rm in enumerate(role_masks):
             if rm & ~row == 0:
-                if i not in new_id:
-                    new_id[i] = len(used)
-                    used.append(i)
-                per_user[u].append(new_id[i])
-    roles = tuple(Role(new_id[i], catalog[i]) for i in used)
+                per_user[u].append(new_id.setdefault(i, len(new_id)))
+    roles = tuple(Role(j, catalog[i]) for i, j in new_id.items())
     return Decomposition(roles=roles, ua=tuple(frozenset(s) for s in per_user))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -119,9 +120,10 @@ class AccessMatrix:
 class Role:
     """A nonempty set of permissions with an id unique inside one decomposition.
 
-    ``mask``, the permission bitmask, is computed once at construction; it is
-    an attribute, not a field, so equality, hashing and repr see only ``id``
-    and ``perms``.
+    ``mask``, the permission bitmask, is computed on first read and kept; it
+    is an attribute, not a field, so equality, hashing and repr see only
+    ``id`` and ``perms``.  A role that is never read as a mask costs no
+    memory for it, however large its permission indices.
     """
 
     id: int
@@ -133,7 +135,10 @@ class Role:
             raise ValueError(f"role {self.id} has an empty permission set")
         if any(p < 0 for p in self.perms):
             raise ValueError(f"role {self.id} has a negative permission index")
-        object.__setattr__(self, "mask", mask_of(self.perms))
+
+    @cached_property
+    def mask(self) -> int:
+        return mask_of(self.perms)
 
     def sorted_perms(self) -> tuple[int, ...]:
         return tuple(sorted(self.perms))
@@ -244,14 +249,13 @@ def is_complete(upa: AccessMatrix, d: Decomposition) -> bool:
             f"assignment covers {len(d.ua)} users, matrix has {upa.n_users}"
         )
     masks = {}
-    bound = 1 << upa.n_perms
     for r in d.roles:
-        m = r.mask
-        if m >= bound:
+        # Checked before the mask is built, whose size grows with the index.
+        if max(r.perms) >= upa.n_perms:
             raise InvalidDecompositionError(
                 f"role {r.id} references a permission >= n_perms ({upa.n_perms})"
             )
-        masks[r.id] = m
+        masks[r.id] = r.mask
     for u in range(upa.n_users):
         union = 0
         for rid in d.ua[u]:

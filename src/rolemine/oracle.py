@@ -1,11 +1,11 @@
 """Exact minimum-|R| solver for tiny instances.
 
-Candidate roles are every nonempty subset of size <= k of every distinct
-row (nothing else can ever be assigned without over-granting).  The search
-is iterative deepening on the catalog size: at each budget a depth-first
-search picks the first row that is not yet fully covered and branches on
-the candidates that fit inside it and add at least one missing permission.
-Selecting a candidate credits every row it fits in.
+A row's candidates are its nonempty submasks of size <= k (nothing else
+can be assigned to its users without over-granting).  The search is
+iterative deepening on the catalog size: at each budget a depth-first search
+picks the first row not yet fully covered and branches on its candidates
+that add at least one missing permission.  Selecting a candidate credits
+every row it fits in.  An empty matrix needs budget 0 and no role.
 
 Hard guards keep the worst case around a second; this exists to check the
 heuristics on small instances, not to solve real ones.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .datasets import witness_assignment
 from .metrics import role_lower_bound
-from .model import AccessMatrix, Decomposition, RoleMiningError, mask_of, perm_tuple
+from .model import AccessMatrix, Decomposition, RoleMiningError, perm_tuple
 
 MAX_PERMS = 6
 MAX_DISTINCT_ROWS = 6
@@ -41,11 +41,15 @@ def optimal_role_count(upa: AccessMatrix, k: int) -> tuple[int, Decomposition]:
         raise InstanceTooLargeError(
             f"{len(rows)} distinct rows exceed the oracle guard of {MAX_DISTINCT_ROWS}"
         )
-    if not rows:
-        return 0, Decomposition.empty(upa.n_users)
 
-    candidates = _candidate_masks(rows, k)
-    fits_in_row = [[c for c in candidates if c & ~row == 0] for row in rows]
+    # Larger candidates first so the DFS covers rows quickly.
+    fits_in_row = [
+        sorted(
+            (c for c in range(1, row + 1) if c & ~row == 0 and c.bit_count() <= k),
+            key=lambda m: (-m.bit_count(), perm_tuple(m)),
+        )
+        for row in rows
+    ]
 
     lower = role_lower_bound(upa, k)
     upper = sum(-(-row.bit_count() // k) for row in rows)
@@ -55,20 +59,16 @@ def optimal_role_count(upa: AccessMatrix, k: int) -> tuple[int, Decomposition]:
         failed: dict[tuple[int, ...], int] = {}
 
         def dfs(covered: list[int], remaining: int) -> bool:
+            # No row may need more candidates than the budget has left.
             target = -1
-            for i, row in enumerate(rows):
-                if covered[i] != row:
-                    target = i
-                    break
-            if target < 0:
-                return True
-            if remaining == 0:
-                return False
-            # No single row may need more candidates than the whole budget.
             for i, row in enumerate(rows):
                 gap = (row & ~covered[i]).bit_count()
                 if -(-gap // k) > remaining:
                     return False
+                if gap and target < 0:
+                    target = i
+            if target < 0:
+                return True
             state = tuple(covered)
             if failed.get(state, -1) >= remaining:
                 return False
@@ -93,16 +93,3 @@ def optimal_role_count(upa: AccessMatrix, k: int) -> tuple[int, Decomposition]:
             witness = [frozenset(perm_tuple(m)) for m in chosen]
             return budget, witness_assignment(upa, witness)
     raise AssertionError("chunked per-row cover bounds the optimum")
-
-
-def _candidate_masks(rows: list[int], k: int) -> list[int]:
-    seen: set[int] = set()
-    for row in rows:
-        perms = perm_tuple(row)
-        for sub in range(1, 1 << len(perms)):
-            if sub.bit_count() > k:
-                continue
-            seen.add(mask_of(perms[i] for i in perm_tuple(sub)))
-    # Larger candidates first so the DFS covers rows quickly.
-    return sorted(seen, key=lambda m: (-m.bit_count(), perm_tuple(m)))
-

@@ -127,6 +127,27 @@ def test_mine_rejects_clashing_output_paths(tmp_path, metrics):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("output, metrics, truth", [
+    ("toy.txt", "m.json", None),
+    ("o.txt", "./toy.txt", None),
+    ("o.txt", "truth.txt", "truth.txt"),
+])
+def test_mine_rejects_writing_over_a_file_it_reads(
+    tmp_path, sparse_file, output, metrics, truth
+):
+    (tmp_path / "truth.txt").write_text("role 0: p1\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    args = ["--output", f"{tmp_path}/{output}", "--metrics", f"{tmp_path}/{metrics}"]
+    if truth:
+        args += ["--truth", f"{tmp_path}/{truth}"]
+    proc = run_cli(
+        "mine", "--algo", "constrained", "--k", "2", "--input", str(sparse_file), *args
+    )
+    assert proc.returncode == 2
+    assert "must differ" in proc.stderr
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_mine_missing_input_is_io_error(tmp_path):
     proc = run_cli(
         "mine", "--algo", "crm", "--k", "2",
@@ -207,6 +228,18 @@ def test_gen_rejects_zero_roles(tmp_path):
         "--out-upa", str(tmp_path / "u"), "--out-truth", str(tmp_path / "t"),
     )
     assert proc.returncode == 2
+
+
+def test_gen_rejects_one_file_for_matrix_and_truth(tmp_path):
+    proc = run_cli(
+        "gen", "--n-users", "3", "--n-perms", "3", "--n-roles", "2",
+        "--max-roles-per-user", "1", "--max-perms-per-role", "2",
+        "--out-upa", str(tmp_path / "both.txt"),
+        "--out-truth", f"{tmp_path}/./both.txt",
+    )
+    assert proc.returncode == 2
+    assert "must differ" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_mine_truth_pipeline(tmp_path):
@@ -302,6 +335,17 @@ def test_compare_produces_cross_product_rows(tmp_path, sparse_file):
     )
     assert len(lines) == 5  # header + 2 algos x 2 k values
     assert proc.stdout == out.read_text()
+
+
+def test_compare_rejects_writing_over_its_input(tmp_path, sparse_file):
+    before = sparse_file.read_bytes()
+    proc = run_cli(
+        "compare", "--input", str(sparse_file), "--k-list", "1",
+        "--out", str(sparse_file),
+    )
+    assert proc.returncode == 2
+    assert "must differ" in proc.stderr
+    assert sparse_file.read_bytes() == before
 
 
 def test_compare_unknown_algo(tmp_path, sparse_file):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from rolemine.datasets import (
     names_are_indices,
     relabel_catalog,
 )
+from rolemine.rng import SplitMix64
 
 
 # --- sparse format -----------------------------------------------------------
@@ -157,6 +160,70 @@ def test_dense_round_trip_with_empty_row():
     assert parse_dense(text) == upa
 
 
+def _reference_parse_dense(text):
+    """Character by character: column j of a row sets bit j."""
+    masks, width = [], None
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if width is None:
+            width = len(line)
+        elif len(line) != width:
+            raise ParseError(
+                line_no, f"ragged row: expected {width} columns, got {len(line)}"
+            )
+        m = 0
+        for col, ch in enumerate(line):
+            if ch == "1":
+                m |= 1 << col
+            elif ch != "0":
+                raise ParseError(line_no, f"column {col + 1}: invalid character {ch!r}")
+        masks.append(m)
+    return AccessMatrix(n_users=len(masks), n_perms=width or 0, masks=tuple(masks))
+
+
+_DENSE_TEXT = st.one_of(
+    st.text(),
+    st.lists(
+        st.text(alphabet="0000111 \t#x2\r\u0661\u2028", max_size=12), max_size=8
+    ).map("\n".join),
+    st.lists(st.text(alphabet="01", min_size=1, max_size=80), max_size=6).map(
+        "\n".join
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_DENSE_TEXT)
+def test_parse_dense_matches_per_character_reference(text):
+    try:
+        want = _reference_parse_dense(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_dense(text)
+        assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
+    else:
+        assert parse_dense(text) == want
+
+
+def test_serialize_dense_matches_per_bit_reference():
+    rng = SplitMix64(2024)
+    for n_perms in range(71):
+        full = (1 << n_perms) - 1
+        masks = (0, full, full & 0x5555555555555555555, *(
+            sum(rng.below(2) << j for j in range(n_perms)) for _ in range(4)
+        ))
+        upa = AccessMatrix(n_users=len(masks), n_perms=n_perms, masks=masks)
+        want = "".join(
+            "".join("1" if (m >> j) & 1 else "0" for j in range(n_perms)) + "\n"
+            for m in masks
+        )
+        assert serialize_dense(upa) == want
+        if n_perms:
+            assert parse_dense(want) == upa
+
+
 # --- decomposition / catalog text --------------------------------------------
 
 def test_serialize_decomposition_canonical_order():
@@ -227,11 +294,12 @@ def test_parse_decomposition_rejects_repeated_index_with_line_number(text):
 
 
 # Token soup for the fuzz tests below: the keywords and token shapes the
-# parsers branch on.  Numbers stay short: parse_decomposition turns a
-# permission index into a bit position, so memory grows with its value.
+# parsers branch on.  Long numbers are in: a role's bitmask is built only
+# when it is read, so a huge permission index costs the parsers nothing.
 _TOKENS = st.sampled_from([
     "role", "user", "0", "1", "-1", "7", "x", ":", "0:", "1:", "p0", "p1",
     "p3", "p-1", "p", "px", "p1x", "r0", "r1", "r-1", "r", "#", "\t", "",
+    "p100000000", "p98765432109876543210", "98765432109876543210",
 ])
 _LINE = st.one_of(
     st.lists(_TOKENS, max_size=6).map(" ".join),
@@ -279,6 +347,22 @@ def test_parse_decomposition_fuzz_gives_result_or_parse_error(text, n_users):
     )
 
 
+@pytest.mark.parametrize("perm", ["p100000000", "p98765432109876543210"])
+def test_huge_permission_index_costs_no_memory(perm):
+    text = f"role 0: {perm}\nuser 0: r0\n"
+    upa = AccessMatrix.from_rows([{0}])
+    tracemalloc.start()
+    try:
+        d = parse_decomposition(text, 1)
+        with pytest.raises(InvalidDecompositionError, match="role 0 references"):
+            is_complete(upa, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The first mask alone would take 13 MB; the second cannot be built.
+    assert peak < 1_000_000
+
+
 def test_relabel_catalog_follows_the_input_tokens():
     names = parse_sparse("u0 p7\nu0 p2\nu1 p9\n").perm_names
     catalog = parse_catalog("role 0: p2 p7\nrole 1: p5 p9 p6\n")
@@ -300,6 +384,22 @@ def test_generator_params_validation():
     with pytest.raises(ValueError):
         GeneratorParams(n_users=1, n_perms=2, n_roles=1,
                         max_roles_per_user=1, max_perms_per_role=3, seed=0)
+
+
+_PARAMS = dict(n_users=1, n_perms=3, n_roles=1, max_roles_per_user=1,
+               max_perms_per_role=2, seed=0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n_users", -1, "n_users must be nonnegative"),
+    ("max_roles_per_user", 0, "max_roles_per_user must be >= 1"),
+    ("max_perms_per_role", 0, "max_perms_per_role must be >= 1"),
+    ("seed", -1, "seed must be a 64-bit unsigned integer"),
+    ("seed", 1 << 64, "seed must be a 64-bit unsigned integer"),
+])
+def test_generator_params_checks_raise_with_message(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GeneratorParams(**{**_PARAMS, field: value})
 
 
 def test_generate_single_role_row_equals_role():

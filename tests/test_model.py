@@ -232,6 +232,27 @@ def test_singleton_decomposition_is_always_feasible(rows):
     assert satisfies_constraint(d, 1)  # and therefore any k >= 1
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: AccessMatrix(n_users=-1, n_perms=0, masks=()),
+     ValueError, "n_users and n_perms must be nonnegative"),
+    (lambda: AccessMatrix(n_users=0, n_perms=-1, masks=()),
+     ValueError, "n_users and n_perms must be nonnegative"),
+    (lambda: Role(3, frozenset({2, -1})),
+     ValueError, "role 3 has a negative permission index"),
+    (lambda: Decomposition((Role(0, {0}), Role(0, {1})), (frozenset({0}),)),
+     InvalidDecompositionError, "duplicate role ids"),
+    (lambda: MiningConfig(max_perms_per_role=1, wsc_weights=(1, 1)),
+     ValueError, "wsc_weights must have exactly three entries"),
+    (lambda: is_complete(
+        AccessMatrix.from_rows([{0}], n_perms=2),
+        Decomposition.from_sets([{0, 2}], [{0}])),
+     InvalidDecompositionError, r"role 0 references a permission >= n_perms \(2\)"),
+])
+def test_model_input_checks_raise_with_message(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
 # --- MiningConfig ------------------------------------------------------------
 
 def test_config_validation():

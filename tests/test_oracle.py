@@ -5,6 +5,7 @@ import pytest
 
 from rolemine import (
     AccessMatrix,
+    Decomposition,
     InstanceTooLargeError,
     is_complete,
     optimal_role_count,
@@ -67,6 +68,20 @@ def test_empty_matrix():
     count, witness = optimal_role_count(upa, 1)
     assert count == 0
     assert is_complete(upa, witness)
+
+
+@pytest.mark.parametrize("n_users, n_perms", [(0, 0), (0, 3), (2, 0), (2, 3)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_empty_matrix_witness_is_the_empty_decomposition(n_users, n_perms, k):
+    upa = AccessMatrix(n_users=n_users, n_perms=n_perms, masks=(0,) * n_users)
+    assert optimal_role_count(upa, k) == (0, Decomposition.empty(n_users))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_oracle_rejects_k_below_one(k):
+    upa = AccessMatrix.from_rows([{0}])
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        optimal_role_count(upa, k)
 
 
 def test_guard_on_permission_count():

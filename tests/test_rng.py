@@ -40,6 +40,12 @@ def test_randint_inclusive():
     assert set(draws) == {3, 4}
 
 
+@pytest.mark.parametrize("lo, hi", [(3, 2), (0, -1), (5, -5)])
+def test_randint_rejects_empty_range(lo, hi):
+    with pytest.raises(ValueError, match=rf"^empty range \[{lo}, {hi}\]$"):
+        SplitMix64(11).randint(lo, hi)
+
+
 def test_sample_is_distinct_sorted_subset():
     rng = SplitMix64(3)
     for _ in range(100):
