@@ -32,7 +32,7 @@ from .datasets import (
     serialize_dense,
     serialize_sparse,
 )
-from .metrics import JSON_FIELDS, MetricsReport, measure, role_lower_bound
+from .metrics import MetricsReport, measure, role_lower_bound
 from .model import Decomposition, MiningConfig, RoleMiningError
 from .oracle import optimal_role_count
 
@@ -207,8 +207,8 @@ def _parse_gen_spec(spec: str, seed: int) -> GeneratorParams:
 
 def _compare_cell(name, upa, truth, algo, k, seed, lattice) -> list[str]:
     _, report = _mine(name, upa, truth, algo, k, seed, lattice)
-    values = dict(zip(JSON_FIELDS, report.csv_values()))
-    return [values.get(f, "") for f in COMPARE_HEADER]
+    values = report.to_json_dict()
+    return ["" if values[f] is None else str(values[f]) for f in COMPARE_HEADER]
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

@@ -25,9 +25,10 @@ once, at the end, by the one builder shared with CRM (`_rowindex.rebuild`),
 after one lattice sweep (`lattice.reduce_rows`) unless it is disabled.
 
 Union elimination reads "which candidates lie inside candidate r" from the
-index: ANDing r's columns gives its supersets, and inverting that relation
-gives per candidate the ascending positions of its subsets, which is the
-largest-first order the greedy cover takes, so no sort is needed.
+index: the rows containing r's permissions (`RowIndex.containing`) are its
+supersets, and inverting that relation gives per candidate the ascending
+positions of its subsets, which is the largest-first order the greedy
+cover takes, so no sort is needed.
 
 Split policy for an oversized candidate: greedily take existing roles that
 fit inside the uncovered remainder (largest first, ties by lexicographically
@@ -38,6 +39,9 @@ chunks reusable for later candidates.  A pool role that does not fit the
 remainder never fits again, so one pass over the pool in that order makes
 the same picks as repeatedly taking the best fitting role.  The catalog only
 grows: no chunk equals a catalog role, which would have been taken first.
+It is a list of masks alone, bucketed by lowest permission; the pool order
+decodes a permission tuple from each mask, and roles are built from the
+masks once, for the result.
 
 The public stages (`initial_candidates`, `eliminate_union_roles`) run the
 same cores on their arguments.  `eliminate_union_roles` indexes the
@@ -56,9 +60,7 @@ from ._rowindex import (
     candidate_order,
     distinct_rows_by_size,
     held_positions,
-    rarest_first_and,
     rebuild,
-    role_holders,
 )
 from .lattice import reduce_rows
 from .model import (
@@ -104,27 +106,23 @@ def initial_candidates(upa: AccessMatrix) -> CandidatePool:
     )
 
 
-def _eliminate(
-    masks: Sequence[int],
-    perms: Sequence[tuple[int, ...]],
-    columns: Sequence[int],
-    counts: Sequence[int],
-    held: list[set[int]],
-) -> None:
-    """Union elimination over roles in visiting order.
-
-    Roles are given by mask and permission tuple, largest first and ties by
-    permission tuple; `columns` and `counts` index them by permission.
-    ``held[g]`` is the set of roles group g holds and is updated in place.
+def _eliminate(index: RowIndex, held: list[set[int]]) -> None:
+    """Union elimination over the roles of `index`, one per position, in
+    visiting order: largest first, ties by permission tuple.  ``held[g]`` is
+    the set of roles group g holds and is updated in place.
     """
+    masks = index.masks
     # subs[i]: positions of the roles strictly inside role i, ascending.
     # Filled for j ascending, so each list is in visiting order already.
     subs: list[list[int]] = [[] for _ in masks]
-    for j, t in enumerate(perms):
+    for j, t in enumerate(index.perms):
         own = 1 << j
-        for i in perm_tuple(rarest_first_and(t, columns, counts, own) ^ own):
+        for i in perm_tuple(index.containing(t, own) ^ own):
             subs[i].append(j)
-    holders = role_holders(held, len(masks))
+    holders: list[set[int]] = [set() for _ in masks]
+    for g, roles in enumerate(held):
+        for i in roles:
+            holders[i].add(g)
 
     for i, m in enumerate(masks):
         # Every role in subs[i] is strictly smaller than role i, hence later
@@ -177,19 +175,21 @@ def eliminate_union_roles(
     # One row per role: the index holds the roles in visiting order with
     # their columns, and a row's one user is the role's catalog position.
     catalog = RowIndex(
-        AccessMatrix(len(d_in.roles), upa.n_perms, tuple(r.mask for r in d_in.roles))
+        AccessMatrix(
+            len(d_in.roles), upa.n_perms, tuple(mask_of(r.perms) for r in d_in.roles)
+        )
     )
     ids = [d_in.roles[pos].id for (pos,) in catalog.users]
     groups = [users for _, _, users in distinct_rows_by_size(upa, d_in.ua)]
     held = held_positions(d_in.ua, ids, groups)
-    _eliminate(catalog.masks, catalog.perms, catalog.columns, catalog.counts, held)
+    _eliminate(catalog, held)
     assigned = [{ids[i] for i in roles} for roles in held]
     return rebuild(d_in.roles, assigned, groups, upa.n_users)
 
 
 def _split(
     mask: int, pool: Sequence[int], k: int, freq: Sequence[int]
-) -> tuple[list[int], list[tuple[int, ...]]]:
+) -> tuple[list[int], list[list[int]]]:
     """Cover an oversized mask: the positions of the pool masks taken, then
     the fresh chunks of what is left.
 
@@ -207,7 +207,7 @@ def _split(
             if not remainder:
                 break
     leftover = sorted(perm_tuple(remainder), key=lambda p: (-freq[p], p))
-    chunks = [tuple(sorted(leftover[i : i + k])) for i in range(0, len(leftover), k)]
+    chunks = [leftover[i : i + k] for i in range(0, len(leftover), k)]
     return taken, chunks
 
 
@@ -220,22 +220,21 @@ def mine_constrained(
     index = RowIndex(upa)
     # Row i starts out holding candidate role i, the row itself.
     held = [{i} for i in range(len(index.masks))]
-    _eliminate(index.masks, index.perms, index.columns, index.counts, held)
+    _eliminate(index, held)
     # Row i holds candidate i until i is removed, and covers made after
     # that hold only smaller candidates, so i is kept iff a row holds it.
     kept = set().union(*held)
 
     cat_masks: list[int] = []
-    cat_perms: list[tuple[int, ...]] = []
     by_min_perm: dict[int, list[int]] = {}
 
-    def _add(m: int, perms: tuple[int, ...]) -> int:
+    def _add(m: int) -> int:
         # `m` is new: small candidates are distinct rows and come first, and
         # a catalog role equal to a chunk lies in the candidate, so in the
         # pool, and in the remainder at its turn, so `_split` takes it.
         cat_masks.append(m)
-        cat_perms.append(perms)
-        by_min_perm.setdefault(perms[0], []).append(len(cat_masks) - 1)
+        low = (m & -m).bit_length() - 1
+        by_min_perm.setdefault(low, []).append(len(cat_masks) - 1)
         return len(cat_masks) - 1
 
     pieces: dict[int, tuple[int, ...]] = {}
@@ -244,19 +243,19 @@ def mine_constrained(
             continue
         m, perms = index.masks[i], index.perms[i]
         if len(perms) <= k:
-            pieces[i] = (_add(m, perms),)
+            pieces[i] = (_add(m),)
             continue
         pool = [
             c for p in perms for c in by_min_perm.get(p, ()) if cat_masks[c] & ~m == 0
         ]
-        pool.sort(key=lambda c: (-len(cat_perms[c]), cat_perms[c]))
+        pool.sort(key=lambda c: (-cat_masks[c].bit_count(), perm_tuple(cat_masks[c])))
         taken, chunks = _split(m, [cat_masks[c] for c in pool], k, index.freq)
         pieces[i] = tuple(pool[j] for j in taken) + tuple(
-            _add(mask_of(c), c) for c in chunks
+            _add(mask_of(c)) for c in chunks
         )
 
     roles = [set(chain.from_iterable(pieces[c] for c in cands)) for cands in held]
     if lattice:
-        reduce_rows(cat_masks, cat_perms, index.columns, index.counts, roles)
-    catalog = [Role(i, frozenset(t)) for i, t in enumerate(cat_perms)]
+        reduce_rows(cat_masks, index, roles)
+    catalog = [Role(i, frozenset(perm_tuple(m))) for i, m in enumerate(cat_masks)]
     return rebuild(catalog, roles, index.users, upa.n_users)

@@ -35,9 +35,10 @@ so a cached truncation can change only when it contains a picked
 permission; such entries are dropped and every other entry stays valid.
 The output is that of re-clustering and re-truncating every round.
 
-Assignments are kept per row.  With the lattice on, a per-row check that
+Roles are kept as masks and built once, for the result, and assignments
+are kept per row.  With the lattice on, a per-row check that
 each row's roles union to its mask comes first.  Then one lattice sweep
-(`lattice.reduce_rows`) runs over the index columns, which equals
+(`lattice.reduce_rows`) runs over the index, which equals
 `lattice_reduce` on the raw output, and the one builder shared with the
 constrained miner (`_rowindex.rebuild`) expands the rows to users once.
 """
@@ -59,11 +60,9 @@ from .model import (
 )
 
 
-def _greedy(
-    index: RowIndex, k: int
-) -> tuple[list[int], list[tuple[int, ...]], list[set[int]]]:
-    """The cover loop over the index rows: each role's mask and permission
-    tuple, and each row's set of role ids."""
+def _greedy(index: RowIndex, k: int) -> tuple[list[int], list[set[int]]]:
+    """The cover loop over the index rows: each role's mask and each row's
+    set of role ids."""
     n = len(index.columns)
     rank = [p - f * n for p, f in enumerate(index.freq)]
     # uncovered[p]: the rows still missing permission p.
@@ -102,7 +101,6 @@ def _greedy(
         return cand
 
     role_masks: list[int] = []
-    role_perms: list[tuple[int, ...]] = []
     held: list[set[int]] = [set() for _ in rows]
     while clusters:
         tied: set[int] = set()
@@ -123,7 +121,6 @@ def _greedy(
 
         rid = len(role_masks)
         role_masks.append(pick)
-        role_perms.append(perms)
         holders = -1
         for p in perms:
             holders &= uncovered[p]
@@ -157,7 +154,7 @@ def _greedy(
                 push(m)
         for m in [m for m, (cand, _) in cands.items() if cand & pick]:
             del cands[m]
-    return role_masks, role_perms, held
+    return role_masks, held
 
 
 def mine_crm(
@@ -165,7 +162,7 @@ def mine_crm(
 ) -> Decomposition:
     k = cfg.max_perms_per_role
     index = RowIndex(upa)
-    role_masks, role_perms, held = _greedy(index, k)
+    role_masks, held = _greedy(index, k)
     if lattice:
         for m, roles in zip(index.masks, held):
             union = 0
@@ -175,6 +172,6 @@ def mine_crm(
                 raise IncompleteDecompositionError(
                     "CRM left a row uncovered before the lattice pass"
                 )
-        reduce_rows(role_masks, role_perms, index.columns, index.counts, held)
-    catalog = [Role(i, frozenset(t)) for i, t in enumerate(role_perms)]
+        reduce_rows(role_masks, index, held)
+    catalog = [Role(i, frozenset(perm_tuple(m))) for i, m in enumerate(role_masks)]
     return rebuild(catalog, held, index.users, upa.n_users)

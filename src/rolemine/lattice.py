@@ -14,93 +14,86 @@ miners run `reduce_rows` on their distinct-row index, where every user of
 a row holds the same roles, and `lattice_reduce` on the index keyed by
 assigned role set; all hand the groups' roles to one builder, `rebuild`.
 
-A role's fitting rows are the AND of its permissions' vertical bitmaps over
-rows (Eclat tid-lists, Zaki, TKDE 2000); each row keeps its fitting roles
-in removal order.  The redundancy test reads two coverage masks per row,
-the permissions covered by at least one live fitting role and those
-covered by at least two: a role is removable iff its mask lies inside the
-second mask of every row holding it.  Both come from one walk over a row's
-live fitting roles (``again |= seen & m; seen |= m``), and only the second
-is kept.  Removing a role marks the rows it fits, which recompute the walk
-when next read; each row holding it is reassigned by walking its fitting
-roles in order, skipping dead ones, so the picks are those of a catalog
-scan in the same order.
+Roles come in as masks; the pass decodes their permission tuples for its
+order.  A role's fitting rows are `RowIndex.containing` its permissions (the
+AND of their vertical bitmaps over rows, Eclat tid-lists, Zaki, TKDE 2000);
+each row keeps its fitting roles in removal order.  A role's holders are not
+stored a second time: they are its fitting rows that hold it, which is exact
+because completeness makes every held role fit its group.  The redundancy
+test reads two coverage masks per row, the permissions covered by at least
+one live fitting role and those covered by at least two: a role is
+removable iff its mask lies inside the second mask of every row holding it.
+Both come from one walk over a row's live fitting roles (``again |= seen &
+m; seen |= m``), and only the second is kept, ``None`` until read and again
+once a role the row fits is removed.  Each row holding a removed role is
+reassigned by walking its fitting roles in order, skipping dead ones, so
+the picks are those of a catalog scan in the same order.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ._rowindex import (
-    RowIndex,
-    held_positions,
-    rarest_first_and,
-    rebuild,
-    role_holders,
-)
+from ._rowindex import RowIndex, held_positions, rebuild
 from .model import (
     AccessMatrix,
     ConstraintViolationError,
     Decomposition,
     IncompleteDecompositionError,
     is_complete,
+    mask_of,
     perm_tuple,
     satisfies_constraint,
 )
 
 
-def reduce_rows(
-    masks: Sequence[int],
-    perms: Sequence[tuple[int, ...]],
-    columns: Sequence[int],
-    counts: Sequence[int],
-    held: list[set[int]],
-) -> None:
+def reduce_rows(masks: Sequence[int], index: RowIndex, held: list[set[int]]) -> None:
     """The lattice pass over row groups, in one sweep.
 
-    Roles are given by mask and permission tuple; `columns` and `counts`
-    index the groups by permission.  ``held[g]`` is the set of roles group
-    g holds and is updated in place.
+    Roles are given by mask; `index` holds the groups.  ``held[g]`` is the
+    set of roles group g holds and is updated in place; every role held
+    must fit its group.
     """
+    perms = [perm_tuple(m) for m in masks]
     order = sorted(range(len(masks)), key=lambda i: (-len(perms[i]), perms[i]))
     fit_rows: list[tuple[int, ...]] = [()] * len(masks)
     fits: list[list[int]] = [[] for _ in held]
     for i in order:
-        fit_rows[i] = perm_tuple(rarest_first_and(perms[i], columns, counts))
+        fit_rows[i] = perm_tuple(index.containing(perms[i]))
         for g in fit_rows[i]:
             fits[g].append(i)
-    holders = role_holders(held, len(masks))
 
     alive = [True] * len(masks)
-    # twice[g]: permissions covered by at least two live roles fitting g,
-    # recomputed on read once a role fitting g has been removed.
-    twice = [0] * len(held)
-    stale = [True] * len(held)
+    # twice[g]: permissions covered by at least two live roles fitting g;
+    # None means "recompute", at first and once a role fitting g is removed.
+    twice: list[int | None] = [None] * len(held)
 
     def covered_twice(g: int) -> int:
-        if stale[g]:
+        again = twice[g]
+        if again is None:
             seen = again = 0
             for j in fits[g]:
                 if alive[j]:
                     again |= seen & masks[j]
                     seen |= masks[j]
             twice[g] = again
-            stale[g] = False
-        return twice[g]
+        return again
 
     # One sweep: a live role's test only gets harder, as twice[g] shrinks
     # when roles die and its holders only grow, so a role that fails the
     # test once fails it for good.
     for i in order:
         m = masks[i]
-        if any(m & ~covered_twice(g) for g in holders[i]):
+        # A held role fits its group, so its holders are among the rows it fits.
+        holders = [g for g in fit_rows[i] if i in held[g]]
+        if any(m & ~covered_twice(g) for g in holders):
             continue
         alive[i] = False
         for g in fit_rows[i]:
-            stale[g] = True
+            twice[g] = None
         # Each group is reassigned from its own roles and the live set
         # alone, so the order of groups does not matter.
-        for g in holders[i]:
+        for g in holders:
             roles = held[g]
             roles.discard(i)
             still = 0
@@ -112,7 +105,6 @@ def reduce_rows(
             for cand in fits[g]:
                 if alive[cand] and masks[cand] & remainder:
                     roles.add(cand)
-                    holders[cand].add(g)
                     remainder &= ~masks[cand]
                     if not remainder:
                         break
@@ -133,8 +125,6 @@ def lattice_reduce(upa: AccessMatrix, d: Decomposition, k: int) -> Decomposition
     index = RowIndex(upa, d.ua)
     ids = [r.id for r in d.roles]
     held = held_positions(d.ua, ids, index.users)
-    masks = [r.mask for r in d.roles]
-    perms = [r.sorted_perms() for r in d.roles]
-    reduce_rows(masks, perms, index.columns, index.counts, held)
+    reduce_rows([mask_of(r.perms) for r in d.roles], index, held)
     assigned = [{ids[i] for i in roles} for roles in held]
     return rebuild(d.roles, assigned, index.users, upa.n_users)

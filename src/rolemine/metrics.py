@@ -13,8 +13,9 @@ Implemented definitions (spelled out because published variants differ):
 - lower bound on |R| = max over rows of ceil(|row| / k): a row needs that
                many roles of at most k permissions on its own.
 
-Reports serialize to JSON and CSV with a fixed field order so repeated runs
-compare byte-for-byte (the timing field excepted, being wall-clock).
+A report has one serializer, `to_json_dict`, with a fixed field order; the
+CSV of `rolemine compare` reads its cells from it.  Repeated runs compare
+byte-for-byte (the timing field excepted, being wall-clock).
 """
 
 from __future__ import annotations
@@ -67,10 +68,6 @@ class MetricsReport:
         fraction strings ("6", "1/2") so no precision is lost in transit."""
         fields = ((f, getattr(self, f)) for f in JSON_FIELDS)
         return {f: str(v) if isinstance(v, Fraction) else v for f, v in fields}
-
-    def csv_values(self) -> list[str]:
-        d = self.to_json_dict()
-        return ["" if d[f] is None else str(d[f]) for f in JSON_FIELDS]
 
 
 class UndefinedMetricError(RoleMiningError, ValueError):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -120,10 +119,10 @@ class AccessMatrix:
 class Role:
     """A nonempty set of permissions with an id unique inside one decomposition.
 
-    ``mask``, the permission bitmask, is computed on first read and kept; it
-    is an attribute, not a field, so equality, hashing and repr see only
-    ``id`` and ``perms``.  A role that is never read as a mask costs no
-    memory for it, however large its permission indices.
+    A role holds its permissions once, as a frozenset.  The miners work on
+    bitmasks of their own (``mask_of(role.perms)``) and build roles only
+    for their result, so a role costs no memory for a mask, however large
+    its permission indices.
     """
 
     id: int
@@ -135,10 +134,6 @@ class Role:
             raise ValueError(f"role {self.id} has an empty permission set")
         if any(p < 0 for p in self.perms):
             raise ValueError(f"role {self.id} has a negative permission index")
-
-    @cached_property
-    def mask(self) -> int:
-        return mask_of(self.perms)
 
     def sorted_perms(self) -> tuple[int, ...]:
         return tuple(sorted(self.perms))
@@ -255,7 +250,7 @@ def is_complete(upa: AccessMatrix, d: Decomposition) -> bool:
             raise InvalidDecompositionError(
                 f"role {r.id} references a permission >= n_perms ({upa.n_perms})"
             )
-        masks[r.id] = r.mask
+        masks[r.id] = mask_of(r.perms)
     for u in range(upa.n_users):
         union = 0
         for rid in d.ua[u]:

@@ -46,9 +46,12 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) via rejection of the biased tail."""
+        """Uniform integer in [0, bound), for 1 <= bound <= 2**64, via
+        rejection of the biased tail."""
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
+        if bound > _MASK64 + 1:
+            raise ValueError(f"bound must be at most 2**64, got {bound}")
         # Largest multiple of `bound` that fits in 64 bits; draws at or above
         # it would wrap unevenly under the modulo, so they are rejected.
         limit = ((_MASK64 + 1) // bound) * bound
@@ -67,12 +70,16 @@ class SplitMix64:
         """`size` distinct integers from [0, n), as a sorted tuple.
 
         Partial Fisher-Yates over [0, n); the swap sequence, and therefore
-        the result, is fully determined by the stream position.
+        the result, is fully determined by the stream position.  Only the
+        displaced entries of the virtual array are kept: ``moved[j]`` is the
+        value at position j, which is j itself when absent.
         """
         if not 0 <= size <= n:
             raise ValueError(f"cannot sample {size} items from range of {n}")
-        pool = list(range(n))
+        moved: dict[int, int] = {}
+        picked = []
         for i in range(size):
             j = i + self.below(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return tuple(sorted(pool[:size]))
+            picked.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return tuple(sorted(picked))

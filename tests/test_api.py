@@ -1,7 +1,8 @@
 """The package surface: exported names resolve, no module or test file
 carries an import it never uses (a deleted helper must not leave one
-behind), and no module-level function or class is dead: each is exported
-or named somewhere else in the package."""
+behind), no module-level function or class is dead: each is exported
+or named somewhere else in the package, and no function of the package
+takes a parameter its body never reads."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,41 @@ def test_unreferenced_definition_is_found():
     first = "def used():\n    return 1\n\ndef dead():\n    return dead()\n"
     second = "from .first import used\n\nclass Holder:\n    size = used()\n"
     assert _unreferenced_definitions([first, second]) == {"dead", "Holder"}
+
+
+def _dead_parameters(source: str) -> set[str]:
+    """``function.parameter`` for each parameter, ``self`` and ``cls``
+    aside, that the function's body (nested functions included) never
+    reads."""
+    dead = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+            params |= {p.arg for p in (a.vararg, a.kwarg) if p is not None}
+            read = {
+                sub.id
+                for stmt in node.body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            dead |= {f"{node.name}.{p}" for p in params - read - {"self", "cls"}}
+    return dead
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert _dead_parameters(path.read_text(encoding="utf-8")) == set()
+
+
+def test_dead_parameter_is_found():
+    source = (
+        "def f(a, b, /, c, *rest, d, **extra):\n    return a + d\n\n"
+        "class K:\n"
+        "    def m(self, x):\n"
+        "        def inner():\n            return x\n"
+        "        return inner\n\n"
+        "    @classmethod\n"
+        "    def make(cls, y):\n        y = 1\n        return cls\n"
+    )
+    assert _dead_parameters(source) == {"f.b", "f.c", "f.rest", "f.extra", "make.y"}

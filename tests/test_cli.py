@@ -2,6 +2,7 @@
 except the fuzz test, which calls ``cli.main`` in-process."""
 
 import contextlib
+import csv
 import io
 import json
 import subprocess
@@ -28,11 +29,12 @@ from rolemine import cli
 from rolemine.model import is_complete
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "rolemine.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -230,6 +232,21 @@ def test_gen_rejects_zero_roles(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("max_perms", ["3", str(1 << 65)])
+def test_gen_rejects_more_permissions_than_64_bit_draws_reach(tmp_path, max_perms):
+    # Bounded with a timeout: a role size above 2**64 used to hang the draw,
+    # and a permission range above it to raise OverflowError from a list.
+    proc = run_cli(
+        "gen", "--n-users", "1", "--n-perms", str(1 << 65), "--n-roles", "1",
+        "--max-roles-per-user", "1", "--max-perms-per-role", max_perms,
+        "--out-upa", str(tmp_path / "u"), "--out-truth", str(tmp_path / "t"),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert f"bound must be at most 2**64, got {1 << 65}" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_rejects_one_file_for_matrix_and_truth(tmp_path):
     proc = run_cli(
         "gen", "--n-users", "3", "--n-perms", "3", "--n-roles", "2",
@@ -335,6 +352,23 @@ def test_compare_produces_cross_product_rows(tmp_path, sparse_file):
     )
     assert len(lines) == 5  # header + 2 algos x 2 k values
     assert proc.stdout == out.read_text()
+
+
+def test_compare_without_truth_leaves_accuracy_and_distance_empty(
+    tmp_path, sparse_file
+):
+    out = tmp_path / "table.csv"
+    proc = run_cli(
+        "compare", "--input", str(sparse_file),
+        "--k-list", "2", "--algos", "constrained,crm", "--out", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert [row["algorithm"] for row in rows] == ["constrained", "crm"]
+    for row in rows:
+        assert row["accuracy"] == row["distance"] == ""
+        assert (row["dataset"], row["k"], row["seed"]) == (str(sparse_file), "2", "0")
+        assert int(row["r_count"]) > 0 and int(row["wsc"]) > 0
 
 
 def test_compare_rejects_writing_over_its_input(tmp_path, sparse_file):

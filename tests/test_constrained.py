@@ -189,7 +189,7 @@ def _reference_eliminate_union_roles(roles, ua, upa):
     role inside the target is collected, then sorted into cover order."""
     d_in = Decomposition(roles=tuple(roles), ua=tuple(frozenset(s) for s in ua))
     assert is_complete(upa, d_in)
-    masks = {r.id: r.mask for r in d_in.roles}
+    masks = {r.id: mask_of(r.perms) for r in d_in.roles}
     user_roles = [set(s) for s in d_in.ua]
     role_users = {r.id: set() for r in d_in.roles}
     for u, s in enumerate(user_roles):

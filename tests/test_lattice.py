@@ -20,7 +20,7 @@ from rolemine import (
     singleton_decomposition,
     witness_assignment,
 )
-from rolemine.model import perm_tuple
+from rolemine.model import mask_of, perm_tuple
 from rolemine.rng import SplitMix64
 
 from conftest import (
@@ -109,7 +109,7 @@ def _reference_lattice_reduce(upa, d, k):
         return d
     ordered = sorted(d.roles, key=lambda r: (-len(r.perms), r.sorted_perms()))
     position = {r.id: i for i, r in enumerate(ordered)}
-    masks = [r.mask for r in ordered]
+    masks = [mask_of(r.perms) for r in ordered]
     bits = [r.sorted_perms() for r in ordered]
     user_roles = [{position[rid] for rid in s} for s in d.ua]
     role_users = [set() for _ in ordered]

@@ -12,7 +12,7 @@ from rolemine import (
     satisfies_constraint,
     singleton_decomposition,
 )
-from rolemine._rowindex import distinct_rows_by_size
+from rolemine._rowindex import RowIndex, distinct_rows_by_size
 from rolemine.model import mask_of, perm_tuple
 
 
@@ -60,9 +60,8 @@ def test_role_requires_nonempty_perms():
         Role(0, frozenset())
 
 
-def test_role_mask_is_stored_outside_the_fields():
+def test_role_equality_hash_and_repr_see_id_and_perms():
     role = Role(4, [1, 3])
-    assert role.mask == 0b1010
     assert role == Role(4, frozenset({1, 3}))
     assert hash(role) == hash(Role(4, frozenset({1, 3})))
     assert repr(role) == "Role(id=4, perms=frozenset({1, 3}))"
@@ -215,6 +214,23 @@ def test_distinct_rows_keyed_groups_share_one_row(drawn):
         assert all(upa.masks[u] == mask for u in users)
         assert len({keys[u] for u in users}) == 1
     assert len({keys[users[0]] for _, _, users in groups}) == len(groups)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sets(st.integers(0, 7), max_size=8), max_size=14),
+    st.sets(st.integers(0, 7), min_size=1),
+)
+def test_row_index_containing_names_the_rows_holding_a_set(rows, wanted):
+    index = RowIndex(AccessMatrix.from_rows(rows, n_perms=8))
+    s = mask_of(wanted)
+    holding = [i for i, m in enumerate(index.masks) if s & ~m == 0]
+    assert index.containing(wanted) == mask_of(holding)
+    # Stopping at a row's own bit: only that bit is left iff no other
+    # distinct row contains the row.
+    for j, (perms, m) in enumerate(zip(index.perms, index.masks)):
+        alone = all(m & ~other for i, other in enumerate(index.masks) if i != j)
+        assert (index.containing(perms, 1 << j) == 1 << j) == alone
 
 
 # --- feasibility witness -----------------------------------------------------
