@@ -8,12 +8,12 @@ union elimination's order: size descending, then permission tuple.  Each
 permission has a vertical bitmap over positions (an Eclat tid-list, Zaki,
 "Scalable algorithms for association mining", TKDE 2000), and the index
 answers "the rows that contain permission set S" itself: `containing` ANDs
-S's columns, rarest first.  Both miners build one index per run and hand
-it to the stage cores; CRM starts its uncovered-cell bitmaps and
-permission frequencies from it.  Each row keeps its permission tuple next
-to its mask: union elimination walks every row's tuple and the tid-lists
-are built from them, all 15317 rows on the 20000x2000 instance, so each
-row is decoded once, when the index is built.
+S's columns.  Both miners build one index per run and hand it to the stage
+cores; CRM starts its uncovered-cell bitmaps and permission frequencies
+from it.  Each row keeps its permission tuple next to its mask: union
+elimination walks every row's tuple and the tid-lists are built from them,
+all 15317 rows on the 20000x2000 instance, so each row is decoded once,
+when the index is built.
 
 `distinct_rows_by_size` is the one place users are grouped.  The miners
 group by row.  `eliminate_union_roles` and `lattice_reduce` take a complete
@@ -131,7 +131,7 @@ class RowIndex:
     forms it, and rows repeat.
     """
 
-    __slots__ = ("perms", "masks", "users", "columns", "freq", "_counts")
+    __slots__ = ("perms", "masks", "users", "columns", "freq")
 
     def __init__(
         self, upa: AccessMatrix, keys: Sequence[Hashable] | None = None
@@ -142,16 +142,16 @@ class RowIndex:
         self.users = [row[2] for row in rows]
         lists = tidlists(self.perms, upa.n_perms)
         self.columns = bitmaps(lists, len(rows))
-        self._counts = [len(positions) for positions in lists]
         weights = [len(users) for users in self.users]
         self.freq = [sum(map(weights.__getitem__, positions)) for positions in lists]
 
     def containing(self, perms: Iterable[int], stop: int = 0) -> int:
         """The positions whose row holds every permission of the nonempty
-        `perms`, as a bitmap: the AND of their columns, rarest first, ending
-        early once the result is `stop` (it can only shrink)."""
+        `perms`, as a bitmap: the AND of their columns in the order given,
+        ending early once the result is `stop`.  Every row of `stop` must
+        hold all of `perms`, so no later column clears one of its bits."""
         rows = -1
-        for p in sorted(perms, key=self._counts.__getitem__):
+        for p in perms:
             rows &= self.columns[p]
             if rows == stop:
                 break

@@ -12,11 +12,9 @@ Pipeline for one matrix:
 Every ordering below is total, so mining is a pure function of the matrix
 and the config: rerunning serializes byte-identically.
 
-All stages run on one distinct-row index (rolemine._rowindex): each
-distinct nonempty row once, with its users, mask and permission tuple, in
-(size descending, sorted permission tuple) order, plus one vertical bitmap
-per permission over those positions (a tid-list in the sense of Zaki,
-"Scalable algorithms for association mining", TKDE 2000) and the user
+All stages run on one distinct-row index (rolemine._rowindex describes
+it): each distinct nonempty row once, in (size descending, sorted
+permission tuple) order, with a bitmap column per permission and the user
 frequency of each permission.  The candidates are the index rows; a
 candidate's id is its rank in (size ascending, smallest user) order.  Every
 user of a row holds the same roles through union elimination, the split
@@ -39,9 +37,9 @@ chunks reusable for later candidates.  A pool role that does not fit the
 remainder never fits again, so one pass over the pool in that order makes
 the same picks as repeatedly taking the best fitting role.  The catalog only
 grows: no chunk equals a catalog role, which would have been taken first.
-It is a list of masks alone, bucketed by lowest permission; the pool order
-decodes a permission tuple from each mask, and roles are built from the
-masks once, for the result.
+It is a list of masks alone, scanned for the masks inside the candidate;
+the pool order decodes a permission tuple from each mask, and roles are
+built from the masks once, for the result.
 
 The public stages (`initial_candidates`, `eliminate_union_roles`) run the
 same cores on their arguments.  `eliminate_union_roles` indexes the
@@ -158,14 +156,13 @@ def eliminate_union_roles(
     covering roles, chosen greedily largest first.  Because covers consist of
     strictly smaller roles, one descending sweep reaches the fixpoint.
 
-    The roles inside each role come from a subset index over positions in
-    visiting order.  One int bitmap per permission has bit i set when role i
-    holds it; a role's supersets are the AND of its columns, rarest first,
-    stopping once only its own bit is left.  Inverted, this gives each role
-    its subsets as an ascending position list: largest first with ties by
-    permission tuple, the cover order, so the cover is the one a sort of
-    the contained roles would give.  Users holding the same roles are
-    handled as one group.
+    The roles inside each role come from the row index
+    (rolemine._rowindex) with one row per role, in visiting order: a role's
+    supersets are `RowIndex.containing` its permissions, stopping once only
+    its own bit is left.  Inverted, this gives each role its subsets as an
+    ascending position list: largest first with ties by permission tuple,
+    the cover order, so the cover is the one a sort of the contained roles
+    would give.  Users holding the same roles are handled as one group.
     """
     d_in = Decomposition(roles=tuple(roles), ua=tuple(frozenset(s) for s in ua))
     if not is_complete(upa, d_in):
@@ -226,28 +223,23 @@ def mine_constrained(
     kept = set().union(*held)
 
     cat_masks: list[int] = []
-    by_min_perm: dict[int, list[int]] = {}
 
     def _add(m: int) -> int:
         # `m` is new: small candidates are distinct rows and come first, and
         # a catalog role equal to a chunk lies in the candidate, so in the
         # pool, and in the remainder at its turn, so `_split` takes it.
         cat_masks.append(m)
-        low = (m & -m).bit_length() - 1
-        by_min_perm.setdefault(low, []).append(len(cat_masks) - 1)
         return len(cat_masks) - 1
 
     pieces: dict[int, tuple[int, ...]] = {}
     for i in candidate_order(index.perms, index.users):
         if i not in kept:
             continue
-        m, perms = index.masks[i], index.perms[i]
-        if len(perms) <= k:
+        m = index.masks[i]
+        if len(index.perms[i]) <= k:
             pieces[i] = (_add(m),)
             continue
-        pool = [
-            c for p in perms for c in by_min_perm.get(p, ()) if cat_masks[c] & ~m == 0
-        ]
+        pool = [c for c, e in enumerate(cat_masks) if e & ~m == 0]
         pool.sort(key=lambda c: (-cat_masks[c].bit_count(), perm_tuple(cat_masks[c])))
         taken, chunks = _split(m, [cat_masks[c] for c in pool], k, index.freq)
         pieces[i] = tuple(pool[j] for j in taken) + tuple(

@@ -18,9 +18,10 @@ positions keyed by its uncovered mask, with its user count and one
 representative row.  Clusters persist across rounds: a pick moves only its
 holders to the cluster of their remaining mask.  The holders are found
 without a scan.  Each permission keeps an "uncovered" bitmap over row
-positions (a copy of its index column, an Eclat tid-list in the sense of
-Zaki, TKDE 2000), so the rows still missing every permission of a pick are
-the AND of its at most k bitmaps; ANDed with the bitmap of representative
+positions, starting as a copy of its index column, so the rows still
+missing every permission of a pick are the AND of its at most k bitmaps
+(the loop ANDs its own copies, not through `RowIndex.containing`, as
+they lose bits every round); ANDed with the bitmap of representative
 rows, that names each holder cluster once.  A moved cluster hands its
 representative to its new mask, and drops it when it merges into an
 existing cluster or is fully covered.

@@ -15,11 +15,11 @@ a row holds the same roles, and `lattice_reduce` on the index keyed by
 assigned role set; all hand the groups' roles to one builder, `rebuild`.
 
 Roles come in as masks; the pass decodes their permission tuples for its
-order.  A role's fitting rows are `RowIndex.containing` its permissions (the
-AND of their vertical bitmaps over rows, Eclat tid-lists, Zaki, TKDE 2000);
-each row keeps its fitting roles in removal order.  A role's holders are not
-stored a second time: they are its fitting rows that hold it, which is exact
-because completeness makes every held role fit its group.  The redundancy
+order.  A role's fitting rows are `RowIndex.containing` its permissions
+(rolemine._rowindex describes the index); each row keeps its fitting roles
+in removal order.  A role's holders are not stored a second time: they are
+its fitting rows that hold it, which is exact because completeness makes
+every held role fit its group.  The redundancy
 test reads two coverage masks per row, the permissions covered by at least
 one live fitting role and those covered by at least two: a role is
 removable iff its mask lies inside the second mask of every row holding it.

@@ -77,9 +77,8 @@ class AccessMatrix:
             raise ValueError(
                 f"expected {self.n_users} rows, got {len(self.masks)}"
             )
-        bound = 1 << self.n_perms
         for u, m in enumerate(self.masks):
-            if m < 0 or m >= bound:
+            if m < 0 or m.bit_length() > self.n_perms:
                 raise ValueError(
                     f"row {u} references a permission >= n_perms ({self.n_perms})"
                 )

@@ -1,8 +1,9 @@
 """The package surface: exported names resolve, no module or test file
 carries an import it never uses (a deleted helper must not leave one
 behind), no module-level function or class is dead: each is exported
-or named somewhere else in the package, and no function of the package
-takes a parameter its body never reads."""
+or named somewhere else in the package, no function of the package
+takes a parameter its body never reads, and no slot of a class is
+filled without being read."""
 
 import ast
 from pathlib import Path
@@ -116,3 +117,39 @@ def test_dead_parameter_is_found():
         "    def make(cls, y):\n        y = 1\n        return cls\n"
     )
     assert _dead_parameters(source) == {"f.b", "f.c", "f.rest", "f.extra", "make.y"}
+
+
+def _unread_slots(sources: list[str]) -> set[str]:
+    """``Class.slot`` for each name in a class's ``__slots__`` that no
+    source reads as an attribute; a store alone does not count."""
+    slots, read = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                slots |= {
+                    (node.name, name)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.Assign)
+                    and [ast.unparse(t) for t in stmt.targets] == ["__slots__"]
+                    for name in ast.literal_eval(stmt.value)
+                }
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return {f"{cls}.{name}" for cls, name in slots if name not in read}
+
+
+def test_every_slot_is_read():
+    sources = [p.read_text(encoding="utf-8") for p in SOURCES]
+    assert _unread_slots(sources) == set()
+
+
+def test_unread_slot_is_found():
+    first = (
+        "class Index:\n"
+        "    __slots__ = ('columns', 'counts', 'freq')\n\n"
+        "    def __init__(self):\n"
+        "        self.columns = []\n"
+        "        self.counts = self.freq = []\n"
+    )
+    second = "def width(index):\n    return len(index.columns)\n"
+    assert _unread_slots([first, second]) == {"Index.counts", "Index.freq"}

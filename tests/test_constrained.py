@@ -393,20 +393,25 @@ def test_mine_heuristic_can_be_suboptimal_on_antichains():
 
 
 @pytest.mark.parametrize(
-    "lattice, r_count, digest",
+    "k, lattice, r_count, digest",
     [
-        (False, 314,
+        (5, False, 314,
          "de3389052f05fd1f7042e3bbac89ecbda0c52e8a1088568f9e0b25dc4cd30f91"),
-        (True, 282,
+        (5, True, 282,
          "16a99d50aee39bcb8c40fc0bcb8307c42219aef9a6808fa1f7f7513aff57cad4"),
+        (2, False, 611,
+         "3bcb7b0d5862da64cb8104b6fadc1b422c6db1325d20af7ee7a65a5c6fd68e5f"),
+        (2, True, 575,
+         "7baee07cce1e416667df3600e3674ad878cecd028f3352f6666f2fae429b9bc7"),
     ],
 )
-def test_mine_constrained_bytes_pinned_on_guard_instance_at_k5(
-    lattice, r_count, digest
+def test_mine_constrained_bytes_pinned_on_guard_instance(
+    k, lattice, r_count, digest
 ):
-    # k=5, the scale workload's bound: many candidates are split and reuse
-    # catalog roles.
-    d = mine_constrained(guard_instance(), MiningConfig(max_perms_per_role=5),
+    # k=5 is the scale workload's bound: many candidates are split and
+    # reuse catalog roles.  k=2 splits almost every candidate, the split's
+    # heaviest traffic.
+    d = mine_constrained(guard_instance(), MiningConfig(max_perms_per_role=k),
                          lattice=lattice)
     assert d.r_count() == r_count
     assert hashlib.sha256(serialize_decomposition(d).encode()).hexdigest() == digest

@@ -363,6 +363,17 @@ def test_huge_permission_index_costs_no_memory(perm):
     assert peak < 1_000_000
 
 
+def test_wide_matrix_check_costs_no_memory():
+    tracemalloc.start()
+    try:
+        AccessMatrix(n_users=1, n_perms=1 << 27, masks=(1,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A bound of 1 << n_perms would take 17 MB on its own, for any rows.
+    assert peak < 1_000_000
+
+
 def test_relabel_catalog_follows_the_input_tokens():
     names = parse_sparse("u0 p7\nu0 p2\nu1 p9\n").perm_names
     catalog = parse_catalog("role 0: p2 p7\nrole 1: p5 p9 p6\n")
