@@ -5,15 +5,15 @@ constrained pipeline and for CRM's greedy loop, whose clusters are sets of
 rows, so the index keeps each distinct nonempty row once, with its users,
 its permission tuple and its mask.  Rows are addressed by position in
 union elimination's order: size descending, then permission tuple.  Each
-permission has a vertical bitmap over positions (an Eclat tid-list, Zaki,
-"Scalable algorithms for association mining", TKDE 2000), and the index
-answers "the rows that contain permission set S" itself: `containing` ANDs
-S's columns.  Both miners build one index per run and hand it to the stage
-cores; CRM starts its uncovered-cell bitmaps and permission frequencies
-from it.  Each row keeps its permission tuple next to its mask: union
-elimination walks every row's tuple and the tid-lists are built from them,
-all 15317 rows on the 20000x2000 instance, so each row is decoded once,
-when the index is built.
+permission has a vertical bitmap over positions (Eclat's vertical layout,
+Zaki, "Scalable algorithms for association mining", TKDE 2000), and the
+index answers "the rows that contain permission set S" itself:
+`containing` ANDs S's columns.  Both miners build one index per run and
+hand it to the stage cores; CRM starts its uncovered-cell bitmaps and
+permission frequencies from it.  Each row keeps its permission tuple next
+to its mask: union elimination walks every row's tuple and the columns and
+frequencies are built in one loop over them, all 15317 rows on the
+20000x2000 instance, so each row is decoded once, when the index is built.
 
 `distinct_rows_by_size` is the one place users are grouped.  The miners
 group by row.  `eliminate_union_roles` and `lattice_reduce` take a complete
@@ -24,41 +24,9 @@ its per-group role sets, and `rebuild`, the one builder, makes its result.
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import repeat
-from operator import invert
 from typing import Hashable, Iterable, Sequence
 
 from .model import AccessMatrix, Decomposition, Role, perm_tuple
-
-
-def tidlists(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
-    """Per permission in [0, width), the ascending positions of the rows
-    that hold it."""
-    lists: list[list[int]] = [[] for _ in range(width)]
-    for i, perms in enumerate(rows):
-        for p in perms:
-            lists[p].append(i)
-    return lists
-
-
-def bitmaps(lists: Sequence[Sequence[int]], n_rows: int) -> list[int]:
-    """Each position list as an int with those bits set.
-
-    Setting characters of a '0'/'1' buffer runs in C and int() parses the
-    buffer in linear time; ORing one big int per position would copy the
-    column every time.  Position i is the character at index ~i = -1 - i.
-    """
-    zeros = bytearray(b"0") * n_rows
-    out = []
-    for positions in lists:
-        if not positions:
-            out.append(0)
-            continue
-        buf = zeros[:]
-        deque(map(buf.__setitem__, map(invert, positions), repeat(49)), 0)
-        out.append(int(buf, 2))
-    return out
 
 
 def held_positions(
@@ -126,7 +94,7 @@ class RowIndex:
 
     ``perms[i]``, ``masks[i]`` and ``users[i]`` describe row position i;
     ``columns[p]`` is permission p's bitmap over positions; ``freq[p]`` is
-    the number of users holding p, summed over the rows in p's tid-list.
+    the number of users holding p, summed over the positions in p's column.
     With `keys`, a position is a group of users as `distinct_rows_by_size`
     forms it, and rows repeat.
     """
@@ -140,10 +108,17 @@ class RowIndex:
         self.perms = [row[0] for row in rows]
         self.masks = [row[1] for row in rows]
         self.users = [row[2] for row in rows]
-        lists = tidlists(self.perms, upa.n_perms)
-        self.columns = bitmaps(lists, len(rows))
-        weights = [len(users) for users in self.users]
-        self.freq = [sum(map(weights.__getitem__, positions)) for positions in lists]
+        # Position i is bit i & 7 of byte i >> 3: int.from_bytes reads each
+        # column once, where ORing one big int per cell would copy it.
+        cols = [bytearray((len(rows) + 7) >> 3) for _ in range(upa.n_perms)]
+        freq = [0] * upa.n_perms
+        for i, (perms, users) in enumerate(zip(self.perms, self.users)):
+            byte, bit, n = i >> 3, 1 << (i & 7), len(users)
+            for p in perms:
+                cols[p][byte] |= bit
+                freq[p] += n
+        self.columns = [int.from_bytes(col, "little") for col in cols]
+        self.freq = freq
 
     def containing(self, perms: Iterable[int], stop: int = 0) -> int:
         """The positions whose row holds every permission of the nonempty

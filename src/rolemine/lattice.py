@@ -19,15 +19,12 @@ order.  A role's fitting rows are `RowIndex.containing` its permissions
 (rolemine._rowindex describes the index); each row keeps its fitting roles
 in removal order.  A role's holders are not stored a second time: they are
 its fitting rows that hold it, which is exact because completeness makes
-every held role fit its group.  The redundancy
-test reads two coverage masks per row, the permissions covered by at least
-one live fitting role and those covered by at least two: a role is
-removable iff its mask lies inside the second mask of every row holding it.
-Both come from one walk over a row's live fitting roles (``again |= seen &
-m; seen |= m``), and only the second is kept, ``None`` until read and again
-once a role the row fits is removed.  Each row holding a removed role is
-reassigned by walking its fitting roles in order, skipping dead ones, so
-the picks are those of a catalog scan in the same order.
+every held role fit its group.  A row's list holds only its live fitting
+roles: a removed role leaves the lists of the rows it fits.  A role is
+removable iff, for every row holding it, the other roles in that row's list
+cover its mask, a walk that stops as soon as they do.  Each row holding a
+removed role is reassigned by walking its list in order, so the picks are
+those of a catalog scan in the same order.
 """
 
 from __future__ import annotations
@@ -63,34 +60,26 @@ def reduce_rows(masks: Sequence[int], index: RowIndex, held: list[set[int]]) -> 
         for g in fit_rows[i]:
             fits[g].append(i)
 
-    alive = [True] * len(masks)
-    # twice[g]: permissions covered by at least two live roles fitting g;
-    # None means "recompute", at first and once a role fitting g is removed.
-    twice: list[int | None] = [None] * len(held)
+    def others_cover(g: int, i: int, rest: int) -> bool:
+        """Whether the live roles fitting row g other than i cover `rest`."""
+        for j in fits[g]:
+            if j != i:
+                rest &= ~masks[j]
+                if not rest:
+                    return True
+        return False
 
-    def covered_twice(g: int) -> int:
-        again = twice[g]
-        if again is None:
-            seen = again = 0
-            for j in fits[g]:
-                if alive[j]:
-                    again |= seen & masks[j]
-                    seen |= masks[j]
-            twice[g] = again
-        return again
-
-    # One sweep: a live role's test only gets harder, as twice[g] shrinks
-    # when roles die and its holders only grow, so a role that fails the
-    # test once fails it for good.
+    # One sweep: a live role's test only gets harder, as the roles fitting
+    # its holders only die and its holders only grow, so a role that fails
+    # the test once fails it for good.
     for i in order:
         m = masks[i]
         # A held role fits its group, so its holders are among the rows it fits.
         holders = [g for g in fit_rows[i] if i in held[g]]
-        if any(m & ~covered_twice(g) for g in holders):
+        if not all(others_cover(g, i, m) for g in holders):
             continue
-        alive[i] = False
         for g in fit_rows[i]:
-            twice[g] = None
+            fits[g].remove(i)
         # Each group is reassigned from its own roles and the live set
         # alone, so the order of groups does not matter.
         for g in holders:
@@ -103,7 +92,7 @@ def reduce_rows(masks: Sequence[int], index: RowIndex, held: list[set[int]]) -> 
             if not remainder:
                 continue
             for cand in fits[g]:
-                if alive[cand] and masks[cand] & remainder:
+                if masks[cand] & remainder:
                     roles.add(cand)
                     remainder &= ~masks[cand]
                     if not remainder:

@@ -20,6 +20,7 @@ byte-for-byte (the timing field excepted, being wall-clock).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -31,7 +32,6 @@ from .model import (
     MiningConfig,
     RoleMiningError,
     is_complete,
-    mask_of,
 )
 
 JSON_FIELDS = (
@@ -102,22 +102,24 @@ def accuracy_distance(
             "accuracy/distance are undefined for empty catalogs"
         )
     mined_lookup = set(mined_sets)
-    matched = sum(1 for t in truth_sets if t in mined_lookup)
-    # Best Jaccard by integer cross-multiplication over bitmasks, one
-    # Fraction per truth role.  Bits come from a local index, so any
-    # integers work as permissions, negative ones included.
-    bit = {p: i for i, p in enumerate(frozenset().union(*mined_sets, *truth_sets))}
-    mined_masks = [(mask_of(bit[p] for p in m), len(m)) for m in mined_sets]
+    # Only a mined role sharing a permission with t can beat Jaccard 0, so
+    # the mined roles are indexed by permission and counting t's
+    # permissions in that index gives each sharing role its intersection.
+    # A truth role matched exactly adds 0.
+    holding: dict[int, list[int]] = {}
+    for i, m in enumerate(mined_sets):
+        for p in m:
+            holding.setdefault(p, []).append(i)
+    matched = 0
     total = Fraction(0)
     for t in truth_sets:
-        tm, tn = mask_of(bit[p] for p in t), len(t)
+        if t in mined_lookup:
+            matched += 1
+            continue
+        shared = Counter(i for p in t for i in holding.get(p, ()))
         best_inter, best_union = 0, 1
-        for mm, mn in mined_masks:
-            inter = (tm & mm).bit_count()
-            union = tn + mn - inter
-            if not union:  # both empty: jaccard's 1
-                best_inter = best_union = 1
-                break
+        for i, inter in shared.items():
+            union = len(t) + len(mined_sets[i]) - inter
             if inter * best_union > best_inter * union:
                 best_inter, best_union = inter, union
         total += 1 - Fraction(best_inter, best_union)

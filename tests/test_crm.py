@@ -135,6 +135,23 @@ def test_crm_guard_instance_bytes_pinned_at_k5():
     )
 
 
+def test_crm_guard_instance_bytes_pinned_at_k2():
+    # k=2 is where the lattice does the most work: it removes more than
+    # half of the raw roles.
+    upa = guard_instance()
+    cfg = MiningConfig(max_perms_per_role=2)
+    raw = mine_crm(upa, cfg, lattice=False)
+    assert raw.r_count() == 945
+    assert _sha(raw) == (
+        "0096235cfed9662dcf58b02d24be0c734ee94ec1e6471fbc88ac57f80eade6a3"
+    )
+    reduced = mine_crm(upa, cfg)
+    assert reduced.r_count() == 447
+    assert _sha(reduced) == (
+        "3d2e7d50b29d0415eb39e5980cf7fa394cd9db6d0f58c8fc26438031c3e990f4"
+    )
+
+
 def _reference_mine_crm(upa, k):
     """The greedy loop user by user, without the lattice: clusters of users
     keyed by uncovered mask, holders found by scanning every cluster, each

@@ -18,6 +18,7 @@ from rolemine import (
     role_lower_bound,
 )
 from rolemine.metrics import JSON_FIELDS
+from rolemine.model import mask_of
 
 from conftest import tiny_instance
 
@@ -145,6 +146,50 @@ def test_accuracy_distance_matches_pairwise_jaccard(mined, truth):
     got = accuracy_distance(mined, truth)
     want = _reference_accuracy_distance(mined, truth)
     assert got == want
+    assert tuple(map(str, got)) == tuple(map(str, want))
+
+
+def _double_loop_accuracy_distance(mined, truth):
+    """Every truth role against every mined role, bitmasks over a local
+    index: the implementation before mined roles were indexed by
+    permission."""
+    mined_sets = [frozenset(s) for s in mined]
+    truth_sets = [frozenset(s) for s in truth]
+    mined_lookup = set(mined_sets)
+    matched = sum(1 for t in truth_sets if t in mined_lookup)
+    bit = {p: i for i, p in enumerate(frozenset().union(*mined_sets, *truth_sets))}
+    mined_masks = [(mask_of(bit[p] for p in m), len(m)) for m in mined_sets]
+    total = Fraction(0)
+    for t in truth_sets:
+        tm, tn = mask_of(bit[p] for p in t), len(t)
+        best_inter, best_union = 0, 1
+        for mm, mn in mined_masks:
+            inter = (tm & mm).bit_count()
+            union = tn + mn - inter
+            if not union:
+                best_inter = best_union = 1
+                break
+            if inter * best_union > best_inter * union:
+                best_inter, best_union = inter, union
+        total += 1 - Fraction(best_inter, best_union)
+    n = len(truth_sets)
+    return Fraction(matched, n), total / n
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.frozensets(st.integers(-3, 12), max_size=7), min_size=1,
+             max_size=12),
+    st.lists(st.frozensets(st.integers(-3, 12), max_size=7), min_size=1,
+             max_size=12),
+    st.lists(st.booleans(), max_size=12),
+)
+def test_accuracy_distance_matches_the_double_loop(mined, truth, copy):
+    # Copying some truth roles into the mined catalog makes exact matches,
+    # the empty role included.
+    mined = mined + [t for t, c in zip(truth, copy) if c]
+    got = accuracy_distance(mined, truth)
+    want = _double_loop_accuracy_distance(mined, truth)
     assert tuple(map(str, got)) == tuple(map(str, want))
 
 # --- permutation invariance --------------------------------------------------

@@ -233,6 +233,31 @@ def test_row_index_containing_names_the_rows_holding_a_set(rows, wanted):
         assert (index.containing(perms, 1 << j) == 1 << j) == alone
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sets(st.integers(min_value=0, max_value=9), max_size=6),
+            st.integers(min_value=0, max_value=2),
+        ),
+        max_size=40,
+    ),
+    st.booleans(),
+)
+def test_row_index_columns_and_freq_match_the_rows(drawn, keyed):
+    # Up to 40 positions span five bytes of a column; permissions 10 and
+    # 11 are held by no row.  Keyed groups repeat rows.
+    upa = AccessMatrix.from_rows([row for row, _ in drawn], n_perms=12)
+    keys = [(m, c) for m, (_, c) in zip(upa.masks, drawn)] if keyed else None
+    index = RowIndex(upa, keys)
+    assert len(index.columns) == len(index.freq) == upa.n_perms
+    for p in range(upa.n_perms):
+        holding = [i for i, perms in enumerate(index.perms) if p in perms]
+        assert index.columns[p] == mask_of(holding)
+        assert index.freq[p] == sum(len(index.users[i]) for i in holding)
+        assert index.freq[p] == sum(m >> p & 1 for m in upa.masks)
+
+
 # --- feasibility witness -----------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
