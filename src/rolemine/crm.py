@@ -26,15 +26,26 @@ rows, that names each holder cluster once.  A moved cluster hands its
 representative to its new mask, and drops it when it merges into an
 existing cluster or is fully covered.
 
-The winning key (user count, min(|mask|, k)) needs no truncation, so a
-heap of cluster keys finds the clusters tied at the top and only those are
-truncated.  A truncation sorts the cluster's permissions by ``rank[p] =
-p - freq[p] * n_perms``, which orders by frequency descending, then index,
-with one int per permission.  Truncations are cached per cluster mask.  A
-pick lowers the frequency (raises the rank) of its own permissions only,
-so a cached truncation can change only when it contains a picked
-permission; such entries are dropped and every other entry stays valid.
-The output is that of re-clustering and re-truncating every round.
+The winning key (user count, min(|mask|, k)) needs no truncation.  The
+clusters sit in tiers, one set of representatives per key, beside a heap
+of the keys, and a round reads the top tier as its tied set: nothing is
+popped and pushed back.  A cluster leaves its tier before it moves or,
+as a merge target, before its user count grows, and enters the tier of
+its new key after.  All tied candidates have min(|mask|, k) permissions,
+and of two sets of one size the one holding the lowest bit of their XOR
+has the lexicographically smaller sorted tuple, so the tie is broken on
+masks in one pass and only the pick is decoded.
+
+A cluster of at most k permissions is its own candidate.  An oversized
+one is decoded once, when it first ties at the top, and keeps its
+permission tuple until it leaves.  Its truncation sorts that tuple by
+``rank[p] = p - freq[p] * n_perms``, which orders by frequency
+descending, then index, with one int per permission, and keeps the
+first k as a mask.  A pick lowers the frequency (raises the rank) of its
+own permissions only, so a cached truncation can change only when it
+contains a picked permission; such entries are dropped and every other
+entry stays valid.  The output is that of re-clustering and
+re-truncating every round.
 
 Roles are kept as masks and built once, for the result, and assignments
 are kept per row.  With the lattice on, a per-row check that
@@ -78,47 +89,44 @@ def _greedy(index: RowIndex, k: int) -> tuple[list[int], list[set[int]]]:
     reps = (1 << len(rows)) - 1
     clusters = {m: r for r, m in enumerate(mask_at)}
 
-    # (-user count, -min(|mask|, k), mask); an entry is stale once its
-    # cluster is gone or has grown.
-    heap = [(-users[r], -min(m.bit_count(), k), m) for m, r in clusters.items()]
-    heapq.heapify(heap)
-
-    def push(m: int) -> None:
-        heapq.heappush(heap, (-users[clusters[m]], -min(m.bit_count(), k), m))
-
-    # cluster mask -> (candidate mask, candidate permission tuple)
-    cands: dict[int, tuple[int, tuple[int, ...]]] = {}
-
-    def candidate(m: int) -> tuple[int, tuple[int, ...]]:
-        cand = cands.get(m)
-        if cand is None:
-            perms = perm_tuple(m)
-            if len(perms) <= k:
-                cand = (m, perms)
-            else:
-                top = tuple(sorted(sorted(perms, key=rank.__getitem__)[:k]))
-                cand = (mask_of(top), top)
-            cands[m] = cand
-        return cand
+    # tiers[(-user count, -width)], width = min(|mask|, k): the
+    # representatives of the clusters with that key.  keys is a heap holding
+    # each tier's key once; a tier that empties stays until its key reaches
+    # the top.
+    tiers: dict[tuple[int, int], set[int]] = {}
+    for m, r in clusters.items():
+        tiers.setdefault((-users[r], -min(m.bit_count(), k)), set()).add(r)
+    keys = list(tiers)
+    heapq.heapify(keys)
+    # Oversized clusters only, by representative: the permission tuple,
+    # kept until the cluster leaves, and the truncation mask, dropped also
+    # once it holds a picked permission.
+    perms_of: dict[int, tuple[int, ...]] = {}
+    cands: dict[int, int] = {}
 
     role_masks: list[int] = []
     held: list[set[int]] = [set() for _ in rows]
     while clusters:
-        tied: set[int] = set()
-        top_key = None
-        while heap:
-            count, size, m = heap[0]
-            r = clusters.get(m)
-            if r is None or users[r] != -count:
-                heapq.heappop(heap)
-                continue
-            if top_key is None:
-                top_key = (count, size)
-            elif (count, size) != top_key:
-                break
-            heapq.heappop(heap)
-            tied.add(m)
-        pick, perms = min((candidate(m) for m in tied), key=lambda c: c[1])
+        while not tiers[keys[0]]:
+            del tiers[heapq.heappop(keys)]
+        # Only a tier of width k can hold oversized clusters.  Of two tied
+        # candidates, the one holding the lowest bit of their XOR wins.
+        oversized = keys[0][1] == -k
+        pick = 0
+        for r in tiers[keys[0]]:
+            c = mask_at[r]
+            if oversized and c.bit_count() > k:
+                cut = cands.get(r)
+                if cut is None:
+                    perms = perms_of.get(r)
+                    if perms is None:
+                        perms = perms_of[r] = perm_tuple(c)
+                    cut = cands[r] = mask_of(sorted(perms, key=rank.__getitem__)[:k])
+                c = cut
+            d = c ^ pick
+            if c & d & -d:
+                pick = c
+        perms = perm_tuple(pick)
 
         rid = len(role_masks)
         role_masks.append(pick)
@@ -129,8 +137,12 @@ def _greedy(index: RowIndex, k: int) -> tuple[list[int], list[set[int]]]:
         moved = 0
         for r in perm_tuple(holders & reps):
             m = mask_at[r]
+            size = m.bit_count()
+            tiers[(-users[r], -min(size, k))].remove(r)
             del clusters[m]
-            cands.pop(m, None)
+            if size > k:
+                perms_of.pop(r, None)
+                cands.pop(r, None)
             moved += users[r]
             for i in rows[r]:
                 held[i].add(rid)
@@ -138,23 +150,28 @@ def _greedy(index: RowIndex, k: int) -> tuple[list[int], list[set[int]]]:
             if not rest:
                 reps ^= 1 << r
                 continue
+            width = min(rest.bit_count(), k)
             into = clusters.get(rest)
             if into is None:
-                clusters[rest] = r
+                clusters[rest] = into = r
                 mask_at[r] = rest
             else:
                 reps ^= 1 << r
+                tiers[(-users[into], -width)].remove(into)
                 rows[into] += rows[r]
                 users[into] += users[r]
-            push(rest)
+            key = (-users[into], -width)
+            tier = tiers.get(key)
+            if tier is None:
+                tiers[key] = {into}
+                heapq.heappush(keys, key)
+            else:
+                tier.add(into)
         for p in perms:
             uncovered[p] ^= holders
             rank[p] += moved * n
-        for m in tied:
-            if m in clusters:
-                push(m)
-        for m in [m for m, (cand, _) in cands.items() if cand & pick]:
-            del cands[m]
+        for r in [r for r, c in cands.items() if c & pick]:
+            del cands[r]
     return role_masks, held
 
 

@@ -1,11 +1,13 @@
 """The package surface: exported names resolve, no module or test file
 carries an import it never uses (a deleted helper must not leave one
 behind), no module-level function or class is dead: each is exported
-or named somewhere else in the package, no function of the package
-takes a parameter its body never reads, and no slot of a class is
-filled without being read."""
+or named somewhere else in the package, no function defined inside a
+function is dead: the enclosing function names it outside the inner
+definition, no function of the package takes a parameter its body never
+reads, and no slot of a class is filled without being read."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -79,6 +81,49 @@ def test_unreferenced_definition_is_found():
     first = "def used():\n    return 1\n\ndef dead():\n    return dead()\n"
     second = "from .first import used\n\nclass Holder:\n    size = used()\n"
     assert _unreferenced_definitions([first, second]) == {"dead", "Holder"}
+
+
+def _names(tree: ast.AST) -> Counter:
+    return Counter(sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name))
+
+
+def _unreferenced_nested_definitions(source: str) -> set[str]:
+    """``outer.inner`` for each function defined inside a function that
+    the enclosing function never names outside the inner definition."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    dead = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, funcs):
+            named = _names(node)
+            for inner in ast.walk(node):
+                if inner is not node and isinstance(inner, funcs):
+                    if named[inner.name] == _names(inner)[inner.name]:
+                        dead.add(f"{node.name}.{inner.name}")
+    return dead
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_nested_definition_is_used(path):
+    assert _unreferenced_nested_definitions(path.read_text(encoding="utf-8")) == set()
+
+
+def test_unreferenced_nested_definition_is_found():
+    source = (
+        "def outer(xs):\n"
+        "    def used(x):\n        return x\n"
+        "    def push(x):\n        return push(x)\n"
+        "    def wrap():\n"
+        "        def lost():\n            return 0\n"
+        "        return used\n"
+        "    return [used(x) for x in xs], wrap\n\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        def stale():\n            return 1\n"
+        "        return self\n"
+    )
+    assert _unreferenced_nested_definitions(source) == {
+        "outer.push", "outer.lost", "wrap.lost", "m.stale",
+    }
 
 
 def _dead_parameters(source: str) -> set[str]:

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from rolemine import (
     AccessMatrix,
     Decomposition,
+    GeneratorParams,
     MiningConfig,
     Role,
+    generate,
     is_complete,
     lattice_reduce,
     mine_constrained,
@@ -152,6 +154,20 @@ def test_crm_guard_instance_bytes_pinned_at_k2():
     )
 
 
+def test_crm_scale_instance_bytes_pinned_at_k5():
+    # 20000 x 2000, k=5: the most rounds with many clusters tied at the
+    # top, and the most clusters that merge and change tier.
+    upa, _ = generate(GeneratorParams(
+        n_users=20000, n_perms=2000, n_roles=400,
+        max_roles_per_user=4, max_perms_per_role=20, seed=99,
+    ))
+    raw = mine_crm(upa, MiningConfig(max_perms_per_role=5), lattice=False)
+    assert raw.r_count() == 2567
+    assert _sha(raw) == (
+        "e65982f105ebee27c4c4921701b50a8a3f16e91c4a7e23674e13d4a0ef38ac66"
+    )
+
+
 def _reference_mine_crm(upa, k):
     """The greedy loop user by user, without the lattice: clusters of users
     keyed by uncovered mask, holders found by scanning every cluster, each
@@ -262,3 +278,14 @@ def test_crm_lattice_equals_public_lattice_after_raw_crm(instance):
     cfg = MiningConfig(max_perms_per_role=k)
     via_public = lattice_reduce(upa, mine_crm(upa, cfg, lattice=False), k)
     assert mine_crm(upa, cfg) == via_public
+
+
+def test_crm_matches_per_user_reference_on_generator_draws():
+    # Generator rows share roles, so clusters of many users merge and
+    # change tier, which the small hypothesis matrices rarely reach.
+    meta = SplitMix64(1313)
+    for _ in range(30):
+        upa, _, _ = synthetic_instance(meta, max_users=120, max_perms=60)
+        for k in (1, 2, 3, 5):
+            cfg = MiningConfig(max_perms_per_role=k)
+            assert mine_crm(upa, cfg, lattice=False) == _reference_mine_crm(upa, k)
