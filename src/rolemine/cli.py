@@ -233,6 +233,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not k_list or any(k < 1 for k in k_list):
         _log("error: k must be >= 1")
         return 2
+    if args.jobs < 1:
+        _log("error: jobs must be >= 1")
+        return 2
     if args.input:
         upa, _ = _load_matrix(args.input, args.format)
         name, truth = args.input, None

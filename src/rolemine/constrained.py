@@ -21,6 +21,8 @@ user of a row holds the same roles through union elimination, the split
 and the lattice, so assignments are kept per row and expanded to users
 once, at the end, by the one builder shared with CRM (`_rowindex.rebuild`),
 after one lattice sweep (`lattice.reduce_rows`) unless it is disabled.
+Catalog roles are masks until then; a `Role` is built only for each one
+still held.
 
 Union elimination reads "which candidates lie inside candidate r" from the
 index: the rows containing r's permissions (`RowIndex.containing`) are its
@@ -249,5 +251,8 @@ def mine_constrained(
     roles = [set(chain.from_iterable(pieces[c] for c in cands)) for cands in held]
     if lattice:
         reduce_rows(cat_masks, index, roles)
-    catalog = [Role(i, frozenset(perm_tuple(m))) for i, m in enumerate(cat_masks)]
+    live = set().union(*roles)
+    catalog = [
+        Role(i, frozenset(perm_tuple(m))) for i, m in enumerate(cat_masks) if i in live
+    ]
     return rebuild(catalog, roles, index.users, upa.n_users)

@@ -47,12 +47,12 @@ contains a picked permission; such entries are dropped and every other
 entry stays valid.  The output is that of re-clustering and
 re-truncating every round.
 
-Roles are kept as masks and built once, for the result, and assignments
-are kept per row.  With the lattice on, a per-row check that
-each row's roles union to its mask comes first.  Then one lattice sweep
-(`lattice.reduce_rows`) runs over the index, which equals
-`lattice_reduce` on the raw output, and the one builder shared with the
-constrained miner (`_rowindex.rebuild`) expands the rows to users once.
+Roles are kept as masks, and a `Role` is built only for each one still
+held at the end; assignments are kept per row.  With the lattice on, a
+per-row check that each row's roles union to its mask comes first.  Then
+one lattice sweep (`lattice.reduce_rows`) runs over the index, which
+equals `lattice_reduce` on the raw output, and the one builder shared with
+the constrained miner (`_rowindex.rebuild`) expands the rows to users once.
 """
 
 from __future__ import annotations
@@ -191,5 +191,8 @@ def mine_crm(
                     "CRM left a row uncovered before the lattice pass"
                 )
         reduce_rows(role_masks, index, held)
-    catalog = [Role(i, frozenset(perm_tuple(m))) for i, m in enumerate(role_masks)]
+    live = set().union(*held)
+    catalog = [
+        Role(i, frozenset(perm_tuple(m))) for i, m in enumerate(role_masks) if i in live
+    ]
     return rebuild(catalog, held, index.users, upa.n_users)

@@ -20,11 +20,17 @@ order.  A role's fitting rows are `RowIndex.containing` its permissions
 in removal order.  A role's holders are not stored a second time: they are
 its fitting rows that hold it, which is exact because completeness makes
 every held role fit its group.  A row's list holds only its live fitting
-roles: a removed role leaves the lists of the rows it fits.  A role is
-removable iff, for every row holding it, the other roles in that row's list
-cover its mask, a walk that stops as soon as they do.  Each row holding a
-removed role is reassigned by walking its list in order, so the picks are
-those of a catalog scan in the same order.
+roles: a removed role leaves the lists of the rows it fits.
+
+Each holder takes one walk, which is both the test and the reassignment.
+Its `rest` is the role's mask minus the union of its other held roles,
+and the walk takes, in list order, each other role of its list that meets
+`rest` until `rest` is empty.  The other held roles are live and fit the
+row, so the list covers the mask iff the walk empties `rest`, and the
+picks are those of a catalog scan in the same order.  Holders are visited
+in fitting-row order, and the first whose walk fails keeps the role with
+nothing changed; only when every holder passes does the role leave the
+lists and its holders swap it for their picks.
 """
 
 from __future__ import annotations
@@ -60,44 +66,45 @@ def reduce_rows(masks: Sequence[int], index: RowIndex, held: list[set[int]]) -> 
         for g in fit_rows[i]:
             fits[g].append(i)
 
-    def others_cover(g: int, i: int, rest: int) -> bool:
-        """Whether the live roles fitting row g other than i cover `rest`."""
-        for j in fits[g]:
-            if j != i:
-                rest &= ~masks[j]
-                if not rest:
-                    return True
-        return False
-
     # One sweep: a live role's test only gets harder, as the roles fitting
     # its holders only die and its holders only grow, so a role that fails
     # the test once fails it for good.
     for i in order:
         m = masks[i]
-        # A held role fits its group, so its holders are among the rows it fits.
-        holders = [g for g in fit_rows[i] if i in held[g]]
-        if not all(others_cover(g, i, m) for g in holders):
-            continue
+        # Each holder's role set and the roles its walk takes.
+        picks: list[tuple[set[int], list[int]]] = []
+        # A held role fits its group, so its holders are among the rows it
+        # fits.
         for g in fit_rows[i]:
-            fits[g].remove(i)
-        # Each group is reassigned from its own roles and the live set
-        # alone, so the order of groups does not matter.
-        for g in holders:
             roles = held[g]
-            roles.discard(i)
+            if i not in roles:
+                continue
+            # The other held roles are live and fit g, so g's list covers m
+            # iff it covers what they leave of m.
             still = 0
             for other in roles:
-                still |= masks[other]
-            remainder = m & ~still
-            if not remainder:
-                continue
-            for cand in fits[g]:
-                if masks[cand] & remainder:
-                    roles.add(cand)
-                    remainder &= ~masks[cand]
-                    if not remainder:
-                        break
-            assert remainder == 0, "redundancy test guaranteed a cover"
+                if other != i:
+                    still |= masks[other]
+            rest = m & ~still
+            taken: list[int] = []
+            if rest:
+                for j in fits[g]:
+                    if masks[j] & rest and j != i:
+                        taken.append(j)
+                        rest &= ~masks[j]
+                        if not rest:
+                            break
+                else:
+                    break  # g's list leaves part of m bare: i stays
+            picks.append((roles, taken))
+        else:  # every holder's walk covered m: i goes
+            for g in fit_rows[i]:
+                fits[g].remove(i)
+            # A walk skips i and reads only its own group's roles, so its
+            # picks hold after i leaves and the other groups change.
+            for roles, taken in picks:
+                roles.discard(i)
+                roles.update(taken)
 
 
 def lattice_reduce(upa: AccessMatrix, d: Decomposition, k: int) -> Decomposition:

@@ -382,6 +382,18 @@ def test_compare_rejects_writing_over_its_input(tmp_path, sparse_file):
     assert sparse_file.read_bytes() == before
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_compare_rejects_jobs_below_one(tmp_path, sparse_file, jobs):
+    out = tmp_path / "t.csv"
+    proc = run_cli(
+        "compare", "--input", str(sparse_file), "--k-list", "2",
+        "--jobs", jobs, "--out", str(out),
+    )
+    assert proc.returncode == 2
+    assert "jobs must be >= 1" in proc.stderr
+    assert not out.exists()
+
+
 def test_compare_unknown_algo(tmp_path, sparse_file):
     proc = run_cli(
         "compare", "--input", str(sparse_file), "--k-list", "2",

@@ -20,6 +20,8 @@ from rolemine import (
     singleton_decomposition,
     witness_assignment,
 )
+from rolemine._rowindex import RowIndex, held_positions
+from rolemine.lattice import reduce_rows
 from rolemine.model import mask_of, perm_tuple
 from rolemine.rng import SplitMix64
 
@@ -218,3 +220,109 @@ def test_lattice_matches_reference_on_mixed_guard_assignment(with_singletons):
     raw = mine_constrained(upa, cfg, lattice=False)
     d = mixed_decomposition(upa, (other, raw), [u % 2 for u in range(upa.n_users)])
     assert lattice_reduce(upa, d, 20) == _reference_lattice_reduce(upa, d, 20)
+
+
+def _reference_reduce_rows(masks, index, held):
+    """The sweep in two walks per holder: first every holder's list is
+    walked to test the role, then each holder ORs its other held roles and
+    walks its list again to be reassigned."""
+    perms = [perm_tuple(m) for m in masks]
+    order = sorted(range(len(masks)), key=lambda i: (-len(perms[i]), perms[i]))
+    fit_rows = [()] * len(masks)
+    fits = [[] for _ in held]
+    for i in order:
+        fit_rows[i] = perm_tuple(index.containing(perms[i]))
+        for g in fit_rows[i]:
+            fits[g].append(i)
+
+    def others_cover(g, i, rest):
+        for j in fits[g]:
+            if j != i:
+                rest &= ~masks[j]
+                if not rest:
+                    return True
+        return False
+
+    for i in order:
+        m = masks[i]
+        holders = [g for g in fit_rows[i] if i in held[g]]
+        if not all(others_cover(g, i, m) for g in holders):
+            continue
+        for g in fit_rows[i]:
+            fits[g].remove(i)
+        for g in holders:
+            roles = held[g]
+            roles.discard(i)
+            still = 0
+            for other in roles:
+                still |= masks[other]
+            remainder = m & ~still
+            if not remainder:
+                continue
+            for cand in fits[g]:
+                if masks[cand] & remainder:
+                    roles.add(cand)
+                    remainder &= ~masks[cand]
+                    if not remainder:
+                        break
+            assert remainder == 0
+
+
+def _sweeps_agree(upa, d):
+    """Run both sweeps on the groups of `d`, check that their held sets
+    agree and return them."""
+    index = RowIndex(upa, d.ua)
+    masks = [mask_of(r.perms) for r in d.roles]
+    held = held_positions(d.ua, [r.id for r in d.roles], index.users)
+    expected = [set(roles) for roles in held]
+    _reference_reduce_rows(masks, index, expected)
+    reduce_rows(masks, index, held)
+    assert held == expected
+    return held
+
+
+def test_sweep_matches_two_walk_reference_on_mined_outputs():
+    meta = SplitMix64(4242)
+    for _ in range(30):
+        upa, _, k = synthetic_instance(meta, min_users=5, max_users=80,
+                                       min_perms=5, max_perms=40)
+        cfg = MiningConfig(max_perms_per_role=k)
+        for miner in (mine_constrained, mine_crm):
+            _sweeps_agree(upa, miner(upa, cfg, lattice=False))
+
+
+@pytest.mark.parametrize("k", [2, 5, 20])
+@pytest.mark.parametrize("miner", [mine_constrained, mine_crm])
+def test_sweep_matches_two_walk_reference_on_guard(miner, k):
+    upa = guard_instance()
+    _sweeps_agree(upa, miner(upa, MiningConfig(max_perms_per_role=k), lattice=False))
+
+
+def test_role_kept_by_its_second_holder_leaves_first_holder_alone():
+    # A = {0,1} is tried first.  Its first holder, row {0,1,2,3}, could swap
+    # it for B and C; its second, row {0,1}, fits no other role.  So A stays
+    # and no row changes, the first holder included.
+    upa = AccessMatrix.from_rows([{0, 1, 2, 3}, {0, 1}, {0, 2}, {1, 3}, {2, 3}])
+    d = Decomposition.from_sets(
+        [{0, 1}, {0, 2}, {1, 3}, {2, 3}], [{0, 3}, {0}, {1}, {2}, {3}]
+    )
+    held = _sweeps_agree(upa, d)
+    assert held == held_positions(d.ua, [0, 1, 2, 3], RowIndex(upa, d.ua).users)
+    assert lattice_reduce(upa, d, 2) == d
+
+
+def test_holder_covered_by_its_own_roles_gets_no_new_role():
+    # Row {1,2,3} holds A = {1,2}, S = {1} and R = {2,3}; S and R cover A, so
+    # A goes and the row takes nothing for it, although N = {1,3}, which
+    # meets A, comes first in its list.  Rows {1,3}, {2,3} and {1} keep N,
+    # R and S.
+    upa = AccessMatrix.from_rows([{1, 2, 3}, {1, 3}, {2, 3}, {1}])
+    d = Decomposition.from_sets(
+        [{1, 2}, {1, 3}, {2, 3}, {1}], [{0, 2, 3}, {1}, {2}, {3}]
+    )
+    _sweeps_agree(upa, d)
+    out = lattice_reduce(upa, d, 2)
+    kept = tuple(r for r in d.roles if r.id != 0)
+    assert out == Decomposition(roles=kept, ua=(
+        frozenset({2, 3}), frozenset({1}), frozenset({2}), frozenset({3})
+    ))
