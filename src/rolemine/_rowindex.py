@@ -18,8 +18,9 @@ frequencies are built in one loop over them, all 15317 rows on the
 `distinct_rows_by_size` is the one place users are grouped.  The miners
 group by row.  `eliminate_union_roles` and `lattice_reduce` take a complete
 decomposition, whose users of one row may hold different roles, and group
-by the assigned role set, which fixes the row.  Every stage hands back only
-its per-group role sets, and `rebuild`, the one builder, makes its result.
+by the assigned role set, which fixes the row.  Union elimination returns
+each role's stand-ins for its callers to map their groups through; from the
+per-group role sets `rebuild`, the one builder, makes every stage's result.
 """
 
 from __future__ import annotations

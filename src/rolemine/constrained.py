@@ -25,10 +25,13 @@ Catalog roles are masks until then; a `Role` is built only for each one
 still held.
 
 Union elimination reads "which candidates lie inside candidate r" from the
-index: the rows containing r's permissions (`RowIndex.containing`) are its
-supersets, and inverting that relation gives per candidate the ascending
-positions of its subsets, which is the largest-first order the greedy
-cover takes, so no sort is needed.
+index: inverting `RowIndex.containing` (r's supersets) lists r's subsets
+by ascending position, the largest-first order of the greedy cover.  One
+walk over them, taking each that still meets what is left of r, is both
+the test (it empties the rest iff they union to r) and the cover.  The
+subsets all sit later, so the outcome depends on the masks alone.  Visited
+last to first, r's stand-ins are {r} if it is kept, else the union of its
+cover members' stand-ins, already known.
 
 Split policy for an oversized candidate: greedily take existing roles that
 fit inside the uncovered remainder (largest first, ties by lexicographically
@@ -106,10 +109,11 @@ def initial_candidates(upa: AccessMatrix) -> CandidatePool:
     )
 
 
-def _eliminate(index: RowIndex, held: list[set[int]]) -> None:
+def _eliminate(index: RowIndex) -> list[set[int]]:
     """Union elimination over the roles of `index`, one per position, in
-    visiting order: largest first, ties by permission tuple.  ``held[g]`` is
-    the set of roles group g holds and is updated in place.
+    visiting order: largest first, ties by permission tuple.  Returns each
+    position's stand-ins: ``{i}`` if role i is kept, else the kept roles
+    that replace it.
     """
     masks = index.masks
     # subs[i]: positions of the roles strictly inside role i, ascending.
@@ -119,32 +123,21 @@ def _eliminate(index: RowIndex, held: list[set[int]]) -> None:
         own = 1 << j
         for i in perm_tuple(index.containing(t, own) ^ own):
             subs[i].append(j)
-    holders: list[set[int]] = [set() for _ in masks]
-    for g, roles in enumerate(held):
-        for i in roles:
-            holders[i].add(g)
 
-    for i, m in enumerate(masks):
-        # Every role in subs[i] is strictly smaller than role i, hence later
-        # in the visiting order and not yet visited: none has been removed.
-        union = 0
-        for j in subs[i]:
-            union |= masks[j]
-        if union != m:
-            continue
+    stand_ins: list[set[int]] = [set()] * len(masks)
+    # Every role in subs[i] sits later than i, so its stand-ins are known.
+    for i in reversed(range(len(masks))):
         cover = []
-        remainder = m
+        rest = masks[i]
         for j in subs[i]:
-            if masks[j] & remainder:
+            if masks[j] & rest:
                 cover.append(j)
-                remainder &= ~masks[j]
-                if not remainder:
+                rest &= ~masks[j]
+                if not rest:
                     break
-        for g in holders[i]:
-            held[g].discard(i)
-            held[g].update(cover)
-            for c in cover:
-                holders[c].add(g)
+        # The walk empties `rest` iff the subsets union to the mask.
+        stand_ins[i] = {i} if rest else set().union(*(stand_ins[j] for j in cover))
+    return stand_ins
 
 
 def eliminate_union_roles(
@@ -154,9 +147,9 @@ def eliminate_union_roles(
 ) -> Decomposition:
     """Drop every role that equals the union of other roles contained in it.
 
-    Roles are visited largest first; a removable role's users are handed the
-    covering roles, chosen greedily largest first.  Because covers consist of
-    strictly smaller roles, one descending sweep reaches the fixpoint.
+    A removable role's users get its cover, chosen greedily largest first,
+    with covering roles that go too replaced by their own covers.  Subsets
+    are all smaller, so the outcome never depends on the order of removal.
 
     The roles inside each role come from the row index
     (rolemine._rowindex) with one row per role, in visiting order: a role's
@@ -164,7 +157,7 @@ def eliminate_union_roles(
     its own bit is left.  Inverted, this gives each role its subsets as an
     ascending position list: largest first with ties by permission tuple,
     the cover order, so the cover is the one a sort of the contained roles
-    would give.  Users holding the same roles are handled as one group.
+    would give.  A group of users with the same roles takes their stand-ins.
     """
     d_in = Decomposition(roles=tuple(roles), ua=tuple(frozenset(s) for s in ua))
     if not is_complete(upa, d_in):
@@ -180,9 +173,11 @@ def eliminate_union_roles(
     )
     ids = [d_in.roles[pos].id for (pos,) in catalog.users]
     groups = [users for _, _, users in distinct_rows_by_size(upa, d_in.ua)]
-    held = held_positions(d_in.ua, ids, groups)
-    _eliminate(catalog, held)
-    assigned = [{ids[i] for i in roles} for roles in held]
+    stand_ins = _eliminate(catalog)
+    assigned = [
+        {ids[s] for i in roles for s in stand_ins[i]}
+        for roles in held_positions(d_in.ua, ids, groups)
+    ]
     return rebuild(d_in.roles, assigned, groups, upa.n_users)
 
 
@@ -217,12 +212,8 @@ def mine_constrained(
     roles all have at most cfg.max_perms_per_role permissions."""
     k = cfg.max_perms_per_role
     index = RowIndex(upa)
-    # Row i starts out holding candidate role i, the row itself.
-    held = [{i} for i in range(len(index.masks))]
-    _eliminate(index, held)
-    # Row i holds candidate i until i is removed, and covers made after
-    # that hold only smaller candidates, so i is kept iff a row holds it.
-    kept = set().union(*held)
+    # Row i holds candidate i's stand-ins, which are {i} iff i is kept.
+    held = _eliminate(index)
 
     cat_masks: list[int] = []
 
@@ -235,7 +226,7 @@ def mine_constrained(
 
     pieces: dict[int, tuple[int, ...]] = {}
     for i in candidate_order(index.perms, index.users):
-        if i not in kept:
+        if i not in held[i]:
             continue
         m = index.masks[i]
         if len(index.perms[i]) <= k:

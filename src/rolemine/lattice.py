@@ -110,6 +110,8 @@ def reduce_rows(masks: Sequence[int], index: RowIndex, held: list[set[int]]) -> 
 def lattice_reduce(upa: AccessMatrix, d: Decomposition, k: int) -> Decomposition:
     """Remove redundant roles; the one sweep ends at a fixpoint, so the
     pass is idempotent."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if not is_complete(upa, d):
         raise IncompleteDecompositionError(
             "lattice_reduce requires a complete decomposition"

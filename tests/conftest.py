@@ -6,6 +6,7 @@ the literal seeds below; there is no platform RNG anywhere.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import strategies as st
 
 from rolemine import (
@@ -45,6 +46,16 @@ def guard_instance() -> AccessMatrix:
     """The 2000 x 500 regression-guard instance (seed 99), mined at k=20."""
     upa, _ = generate(GeneratorParams(
         n_users=2000, n_perms=500, n_roles=120,
+        max_roles_per_user=4, max_perms_per_role=20, seed=99,
+    ))
+    return upa
+
+
+@pytest.fixture(scope="session")
+def scale_upa() -> AccessMatrix:
+    """The 20000 x 2000 scale instance (seed 99), generated once per run."""
+    upa, _ = generate(GeneratorParams(
+        n_users=20000, n_perms=2000, n_roles=400,
         max_roles_per_user=4, max_perms_per_role=20, seed=99,
     ))
     return upa

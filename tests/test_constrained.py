@@ -19,7 +19,8 @@ from rolemine import (
     satisfies_constraint,
     serialize_decomposition,
 )
-from rolemine.constrained import _split
+from rolemine._rowindex import RowIndex, candidate_order
+from rolemine.constrained import _eliminate, _split
 from rolemine.model import mask_of, perm_tuple
 from rolemine.rng import SplitMix64
 
@@ -279,6 +280,33 @@ def test_union_elimination_matches_reference_when_row_users_differ(instance):
     )
 
 
+def test_eliminate_stand_ins_go_through_removed_cover_members():
+    # Positions in visiting order: 0 {0,1,2}, 1 {0,1}, 2 {0}, 3 {1}, 4 {2}.
+    # {0,1,2}'s walk takes {0,1} and {2}; {0,1} is removed as well, so its
+    # stand-ins {0} and {1} replace it in those of {0,1,2}.
+    upa = AccessMatrix.from_rows([{0}, {1}, {2}, {0, 1}, {0, 1, 2}])
+    assert _eliminate(RowIndex(upa)) == [{2, 3, 4}, {2, 3}, {2}, {3}, {4}]
+
+
+def test_eliminate_matches_reference_on_candidate_catalogs():
+    # The miner's path: one role per index row, and a row's users hold the
+    # candidate ids of its stand-ins.
+    meta = SplitMix64(3131)
+    removed = 0
+    for _ in range(40):
+        upa, _, _ = synthetic_instance(meta, min_users=5, max_users=80,
+                                       min_perms=4, max_perms=30)
+        index = RowIndex(upa)
+        ref = _reference_eliminate_union_roles(*_candidate_catalog(upa), upa)
+        cid = {i: rank for rank, i in
+               enumerate(candidate_order(index.perms, index.users))}
+        for i, stand_ins in enumerate(_eliminate(index)):
+            removed += i not in stand_ins
+            for u in index.users[i]:
+                assert {cid[j] for j in stand_ins} == ref.ua[u]
+    assert removed > 0
+
+
 # --- _split -------------------------------------------------------------------
 
 def _pieces(candidate, pool, k, freq):
@@ -415,3 +443,16 @@ def test_mine_constrained_bytes_pinned_on_guard_instance(
                          lattice=lattice)
     assert d.r_count() == r_count
     assert hashlib.sha256(serialize_decomposition(d).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("lattice", [True, False])
+def test_mine_constrained_bytes_pinned_on_scale_instance(scale_upa, lattice):
+    # 20000 x 2000 at k=5, the scale workload's run: union elimination
+    # removes 14917 of 15317 candidates, 306 are split, and the lattice
+    # removes none of the 988 roles.
+    d = mine_constrained(scale_upa, MiningConfig(max_perms_per_role=5),
+                         lattice=lattice)
+    assert d.r_count() == 988
+    assert hashlib.sha256(serialize_decomposition(d).encode()).hexdigest() == (
+        "8da72b1c7897215fefd90f6112dfabc00156a34ac917843556433844a890cc1a"
+    )

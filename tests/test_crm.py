@@ -1,17 +1,14 @@
 import hashlib
 import heapq
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rolemine import (
     AccessMatrix,
     Decomposition,
-    GeneratorParams,
     MiningConfig,
     Role,
-    generate,
     is_complete,
     lattice_reduce,
     mine_constrained,
@@ -153,15 +150,6 @@ def test_crm_guard_instance_bytes_pinned_at_k2():
     assert _sha(reduced) == (
         "3d2e7d50b29d0415eb39e5980cf7fa394cd9db6d0f58c8fc26438031c3e990f4"
     )
-
-
-@pytest.fixture(scope="module")
-def scale_upa():
-    upa, _ = generate(GeneratorParams(
-        n_users=20000, n_perms=2000, n_roles=400,
-        max_roles_per_user=4, max_perms_per_role=20, seed=99,
-    ))
-    return upa
 
 
 def test_crm_scale_instance_bytes_pinned_at_k5(scale_upa):

@@ -69,6 +69,17 @@ def test_rejects_constraint_violation():
         lattice_reduce(upa, d, 2)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_rejects_k_below_one(k):
+    # The bound is checked before the input: an empty decomposition has no
+    # role to violate it, and a nonempty one must not be blamed for it.
+    empty = AccessMatrix.from_rows([[], []], n_perms=2)
+    upa = AccessMatrix.from_rows([{0}, {1}])
+    for m, d in ((empty, Decomposition.empty(2)), (upa, singleton_decomposition(upa))):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            lattice_reduce(m, d, k)
+
+
 def test_never_regresses_on_mined_outputs():
     meta = SplitMix64(1717)
     for _ in range(30):
