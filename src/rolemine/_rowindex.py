@@ -1,4 +1,4 @@
-"""The distinct-row index one mining run works on, for both miners.
+"""The distinct-row index of a matrix, shared by both miners.
 
 Users with identical rows are interchangeable for every stage of the
 constrained pipeline and for CRM's greedy loop, whose clusters are sets of
@@ -8,12 +8,19 @@ union elimination's order: size descending, then permission tuple.  Each
 permission has a vertical bitmap over positions (Eclat's vertical layout,
 Zaki, "Scalable algorithms for association mining", TKDE 2000), and the
 index answers "the rows that contain permission set S" itself:
-`containing` ANDs S's columns.  Both miners build one index per run and
-hand it to the stage cores; CRM starts its uncovered-cell bitmaps and
-permission frequencies from it.  Each row keeps its permission tuple next
+`containing` ANDs S's columns.  Each row keeps its permission tuple next
 to its mask: union elimination walks every row's tuple and the columns and
 frequencies are built in one loop over them, all 15317 rows on the
 20000x2000 instance, so each row is decoded once, when the index is built.
+
+A matrix builds its index once, on first use (`AccessMatrix._row_index`),
+and keeps it, so both miners and every later call on that matrix share one
+build.  The miners hand it to the stage cores; CRM starts its
+uncovered-cell bitmaps and permission frequencies from copies of it.  Every
+field is a tuple, each row and user group too: no consumer can change a
+shared index, and once a collection has run the garbage collector tracks
+the index object alone.  The keyed indexes of `lattice_reduce` and
+`eliminate_union_roles` are built per call.
 
 `distinct_rows_by_size` is the one place users are grouped.  The miners
 group by row.  `eliminate_union_roles` and `lattice_reduce` take a complete
@@ -83,7 +90,7 @@ def distinct_rows_by_size(
 
 
 def candidate_order(
-    perms: Sequence[tuple[int, ...]], users: Sequence[list[int]]
+    perms: Sequence[tuple[int, ...]], users: Sequence[Sequence[int]]
 ) -> list[int]:
     """Row positions by (size, smallest user): the candidate order, in which
     a row's rank is its candidate role's id."""
@@ -106,9 +113,9 @@ class RowIndex:
         self, upa: AccessMatrix, keys: Sequence[Hashable] | None = None
     ) -> None:
         rows = distinct_rows_by_size(upa, keys)
-        self.perms = [row[0] for row in rows]
-        self.masks = [row[1] for row in rows]
-        self.users = [row[2] for row in rows]
+        self.perms = tuple(row[0] for row in rows)
+        self.masks = tuple(row[1] for row in rows)
+        self.users = tuple(tuple(row[2]) for row in rows)
         # Position i is bit i & 7 of byte i >> 3: int.from_bytes reads each
         # column once, where ORing one big int per cell would copy it.
         cols = [bytearray((len(rows) + 7) >> 3) for _ in range(upa.n_perms)]
@@ -118,8 +125,8 @@ class RowIndex:
             for p in perms:
                 cols[p][byte] |= bit
                 freq[p] += n
-        self.columns = [int.from_bytes(col, "little") for col in cols]
-        self.freq = freq
+        self.columns = tuple(int.from_bytes(col, "little") for col in cols)
+        self.freq = tuple(freq)
 
     def containing(self, perms: Iterable[int], stop: int = 0) -> int:
         """The positions whose row holds every permission of the nonempty

@@ -12,8 +12,9 @@ Pipeline for one matrix:
 Every ordering below is total, so mining is a pure function of the matrix
 and the config: rerunning serializes byte-identically.
 
-All stages run on one distinct-row index (rolemine._rowindex describes
-it): each distinct nonempty row once, in (size descending, sorted
+All stages run on the matrix's distinct-row index (rolemine._rowindex
+describes it), built on the matrix's first mine and shared with CRM and
+later calls: each distinct nonempty row once, in (size descending, sorted
 permission tuple) order, with a bitmap column per permission and the user
 frequency of each permission.  The candidates are the index rows; a
 candidate's id is its rank in (size ascending, smallest user) order.  Every
@@ -211,7 +212,7 @@ def mine_constrained(
     """Run the full pipeline; always returns a complete decomposition whose
     roles all have at most cfg.max_perms_per_role permissions."""
     k = cfg.max_perms_per_role
-    index = RowIndex(upa)
+    index = upa._row_index
     # Row i holds candidate i's stand-ins, which are {i} iff i is kept.
     held = _eliminate(index)
 

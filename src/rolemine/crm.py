@@ -12,7 +12,8 @@ Deterministic policies:
 - selection ties on user count prefer the larger candidate, then the
   lexicographically smallest permission tuple.
 
-The loop runs on the distinct-row index (rolemine._rowindex).  Users of
+The loop runs on the matrix's distinct-row index (rolemine._rowindex),
+built once per matrix and shared with the constrained miner.  Users of
 one row always share an uncovered set, so a cluster is a set of row
 positions keyed by its uncovered mask, with its user count and one
 representative row.  Clusters persist across rounds: a pick moves only its
@@ -179,7 +180,7 @@ def mine_crm(
     upa: AccessMatrix, cfg: MiningConfig, *, lattice: bool = True
 ) -> Decomposition:
     k = cfg.max_perms_per_role
-    index = RowIndex(upa)
+    index = upa._row_index
     role_masks, held = _greedy(index, k)
     if lattice:
         for m, roles in zip(index.masks, held):

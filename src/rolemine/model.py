@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -64,7 +65,14 @@ def perm_tuple(mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class AccessMatrix:
-    """The user-permission relation: one bitmask row per user."""
+    """The user-permission relation: one bitmask row per user.
+
+    The distinct-row index both miners work on (rolemine._rowindex) is
+    built on first use and kept as long as the matrix.  It is no field:
+    equality, hash and repr ignore it.  On the 20000x2000 scale instance
+    (seed 99, 15317 distinct rows) tracemalloc puts the masks at 5.7 MB and
+    the index at 22.8 MB, 15.9 MB of it the rows' permission tuples.
+    """
 
     n_users: int
     n_perms: int
@@ -96,6 +104,13 @@ class AccessMatrix:
         if n_perms is None:
             n_perms = max((m.bit_length() for m in masks), default=0)
         return cls(n_users=len(masks), n_perms=n_perms, masks=masks)
+
+    @cached_property
+    def _row_index(self):
+        # Imported here: _rowindex imports this module.
+        from ._rowindex import RowIndex
+
+        return RowIndex(self)
 
     def row(self, user: int) -> frozenset[int]:
         return frozenset(perm_tuple(self.masks[user]))

@@ -1,10 +1,12 @@
 """End-to-end CLI checks; every invocation goes through a real subprocess,
-except the fuzz test, which calls ``cli.main`` in-process."""
+except the fuzz test and the index-build count, which call ``cli.main``
+in-process."""
 
 import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -24,17 +26,22 @@ from rolemine import (
     parse_decomposition,
     parse_dense,
     parse_sparse,
+    serialize_catalog,
+    serialize_sparse,
 )
-from rolemine import cli
+from rolemine import _rowindex, cli
 from rolemine.model import is_complete
 
 
-def run_cli(*args, timeout=None):
+def run_cli(*args, timeout=None, env=None):
+    """Run ``python -m rolemine.cli``; `env` adds to the inherited
+    environment."""
     return subprocess.run(
         [sys.executable, "-m", "rolemine.cli", *args],
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=None if env is None else {**os.environ, **env},
     )
 
 
@@ -450,6 +457,54 @@ def test_compare_gen_spec_includes_truth_metrics(tmp_path):
     rows = out.read_text().splitlines()
     accuracy_col = rows[0].split(",").index("accuracy")
     assert rows[1].split(",")[accuracy_col] != ""
+
+
+def test_compare_builds_the_row_index_once_per_matrix(tmp_path, monkeypatch):
+    built = []
+    build = _rowindex.RowIndex.__init__
+
+    def counting(self, upa, keys=None):
+        if keys is None:
+            built.append(upa)
+        build(self, upa, keys)
+
+    monkeypatch.setattr(_rowindex.RowIndex, "__init__", counting)
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = cli.main([
+            "compare", "--gen-spec",
+            "n_users=60,n_perms=30,n_roles=8,max_roles_per_user=3,max_perms_per_role=6",
+            "--k-list", "2,5,20", "--out", str(tmp_path / "c.csv"), "--seed", "5",
+        ])
+    assert code == 0, sink.getvalue()
+    assert len((tmp_path / "c.csv").read_text().splitlines()) == 1 + 2 * 3
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("algo", ["constrained", "crm"])
+def test_mine_output_does_not_depend_on_the_hash_seed(tmp_path, algo):
+    upa, truth = generate(GeneratorParams(
+        n_users=120, n_perms=40, n_roles=10,
+        max_roles_per_user=3, max_perms_per_role=6, seed=8,
+    ))
+    (tmp_path / "upa.txt").write_text(serialize_sparse(upa))
+    (tmp_path / "truth.txt").write_text(serialize_catalog(truth))
+    outputs = []
+    for seed in ("0", "12345"):
+        out, metrics = tmp_path / f"out{seed}.txt", tmp_path / f"m{seed}.json"
+        proc = run_cli(
+            "mine", "--algo", algo, "--k", "3",
+            "--input", str(tmp_path / "upa.txt"),
+            "--truth", str(tmp_path / "truth.txt"),
+            "--output", str(out), "--metrics", str(metrics),
+            env={"PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(metrics.read_text())
+        del report["elapsed_ms"]
+        names = Path(f"{out}.names.json").read_bytes()
+        outputs.append((out.read_bytes(), names, report))
+    assert outputs[0] == outputs[1]
 
 
 def test_mine_no_lattice_and_dense_input(tmp_path):

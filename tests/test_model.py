@@ -1,3 +1,6 @@
+import dataclasses
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +12,17 @@ from rolemine import (
     MiningConfig,
     Role,
     is_complete,
+    mine_constrained,
+    mine_crm,
     satisfies_constraint,
+    serialize_decomposition,
     singleton_decomposition,
 )
 from rolemine._rowindex import RowIndex, distinct_rows_by_size
 from rolemine.model import mask_of, perm_tuple
+from rolemine.rng import SplitMix64
+
+from conftest import guard_instance, synthetic_instance
 
 
 # --- bitmask helpers ---------------------------------------------------------
@@ -256,6 +265,75 @@ def test_row_index_columns_and_freq_match_the_rows(drawn, keyed):
         assert index.columns[p] == mask_of(holding)
         assert index.freq[p] == sum(len(index.users[i]) for i in holding)
         assert index.freq[p] == sum(m >> p & 1 for m in upa.masks)
+
+
+# --- the matrix's cached row index -------------------------------------------
+
+MINERS = (mine_constrained, mine_crm)
+
+
+def _fields(index):
+    return {name: getattr(index, name) for name in RowIndex.__slots__}
+
+
+def _mine_everywhere(upa):
+    """Both miners, lattice on and off, at k in {1, 2, 5, 20, max row}."""
+    for k in sorted({1, 2, 5, 20, max(1, upa.max_row_size())}):
+        for miner in MINERS:
+            for lattice in (True, False):
+                miner(upa, MiningConfig(max_perms_per_role=k), lattice=lattice)
+
+
+def test_mining_leaves_the_cached_index_as_built():
+    meta = SplitMix64(1616)
+    instances = [guard_instance()]
+    instances += [synthetic_instance(meta, max_users=80, max_perms=40)[0]
+                  for _ in range(15)]
+    for upa in instances:
+        _mine_everywhere(upa)
+        cached = upa._row_index
+        assert _fields(cached) == _fields(RowIndex(upa))
+        # Tuples all through: no consumer can change the index in place.
+        for name, value in _fields(cached).items():
+            assert type(value) is tuple, name
+        assert all(type(group) is tuple for group in cached.users)
+        _mine_everywhere(upa)
+        assert upa._row_index is cached
+
+
+@pytest.mark.parametrize("miner", MINERS)
+def test_warm_and_cold_matrices_mine_the_same_bytes(miner):
+    meta = SplitMix64(2727)
+    instances = [(guard_instance(), 5)]
+    instances += [synthetic_instance(meta, max_users=80, max_perms=40)[::2]
+                  for _ in range(10)]
+    for upa, k in instances:
+        cfg = MiningConfig(max_perms_per_role=k)
+        seen = (upa == AccessMatrix(upa.n_users, upa.n_perms, upa.masks),
+                hash(upa), repr(upa), dataclasses.fields(AccessMatrix))
+        cold = serialize_decomposition(miner(upa, cfg))
+        warm = serialize_decomposition(miner(upa, cfg))
+        fresh = AccessMatrix(upa.n_users, upa.n_perms, upa.masks)
+        assert warm == cold == serialize_decomposition(miner(fresh, cfg))
+        # The cache is no field: equality, hash and repr do not see it.
+        assert seen == (upa == fresh, hash(upa), repr(upa),
+                        dataclasses.fields(AccessMatrix))
+
+
+def test_cached_indexes_hold_few_collector_tracked_objects():
+    # 300 instances drawn as the corpus benchmark draws them.  Once a
+    # collection has run, a tuple of untracked items is untracked itself,
+    # so a cached index costs the collector its own object and the
+    # matrix's attribute dict, however many rows it has.
+    meta = SplitMix64(99)
+    instances = [synthetic_instance(meta)[::2] for _ in range(300)]
+    gc.collect()
+    before = len(gc.get_objects())
+    for upa, k in instances:
+        for miner in MINERS:
+            miner(upa, MiningConfig(max_perms_per_role=k))
+    gc.collect()
+    assert len(gc.get_objects()) - before <= 2 * len(instances)
 
 
 # --- feasibility witness -----------------------------------------------------
