@@ -2,32 +2,33 @@
 
 Users with identical rows are interchangeable for every stage of the
 constrained pipeline and for CRM's greedy loop, whose clusters are sets of
-rows, so the index keeps each distinct nonempty row once, with its users,
-its permission tuple and its mask.  Rows are addressed by position in
-union elimination's order: size descending, then permission tuple.  Each
-permission has a vertical bitmap over positions (Eclat's vertical layout,
-Zaki, "Scalable algorithms for association mining", TKDE 2000), and the
-index answers "the rows that contain permission set S" itself:
-`containing` ANDs S's columns.  Each row keeps its permission tuple next
-to its mask: union elimination walks every row's tuple and the columns and
-frequencies are built in one loop over them, all 15317 rows on the
-20000x2000 instance, so each row is decoded once, when the index is built.
+rows, so the index keeps each distinct nonempty row once, as its mask, with
+its users.  Rows are addressed by position in union elimination's order:
+size descending, then permission tuple.  Each permission has a vertical
+bitmap over positions (Eclat's vertical layout, Zaki, "Scalable algorithms
+for association mining", TKDE 2000), and the index answers "the rows that
+contain permission set S" itself: `containing` ANDs the columns of S's
+mask, decoding it from the top bit.  The build decodes each row once: the
+permission tuples give the order and fill the columns and frequencies in
+one loop, and are dropped when the build ends, so a kept index holds no
+row in a second form.
 
 A matrix builds its index once, on first use (`AccessMatrix._row_index`),
-and keeps it, so both miners and every later call on that matrix share one
-build.  The miners hand it to the stage cores; CRM starts its
-uncovered-cell bitmaps and permission frequencies from copies of it.  Every
-field is a tuple, each row and user group too: no consumer can change a
-shared index, and once a collection has run the garbage collector tracks
-the index object alone.  The keyed indexes of `lattice_reduce` and
-`eliminate_union_roles` are built per call.
+and keeps it, so both miners, `initial_candidates` and every later call on
+that matrix share one build.  The miners hand it to the stage cores; CRM
+starts its uncovered-cell bitmaps and permission frequencies from copies
+of it.  Every field is a tuple, each user group too: no consumer can
+change a shared index, and once a collection has run the garbage
+collector tracks the index object alone.  The keyed indexes of
+`lattice_reduce` and `eliminate_union_roles` are built per call.
 
-`distinct_rows_by_size` is the one place users are grouped.  The miners
-group by row.  `eliminate_union_roles` and `lattice_reduce` take a complete
-decomposition, whose users of one row may hold different roles, and group
-by the assigned role set, which fixes the row.  Union elimination returns
-each role's stand-ins for its callers to map their groups through; from the
-per-group role sets `rebuild`, the one builder, makes every stage's result.
+`row_groups` is the one place users are grouped; it only groups, and the
+index sorts its groups.  The miners group by row.  `eliminate_union_roles`
+and `lattice_reduce` take a complete decomposition, whose users of one row
+may hold different roles, and group by the assigned role set, which fixes
+the row.  Union elimination returns each role's stand-ins for its callers
+to map their groups through; from the per-group role sets `rebuild`, the
+one builder, makes every stage's result.
 """
 
 from __future__ import annotations
@@ -66,16 +67,14 @@ def rebuild(
     return Decomposition(roles=tuple(r for r in roles if r.id in live), ua=tuple(ua))
 
 
-def distinct_rows_by_size(
+def row_groups(
     upa: AccessMatrix, keys: Sequence[Hashable] | None = None
-) -> list[tuple[tuple[int, ...], int, list[int]]]:
-    """(permission tuple, mask, users) of each group of users with a
-    nonempty row, size descending, then permission tuple: union
-    elimination's order.
+) -> list[tuple[int, list[int]]]:
+    """(mask, users) of each group of users with a nonempty row, in the
+    order of their first users.
 
     Users are grouped by ``keys[u]``, by default their row; a key must fix
-    the row, as the role set of a complete decomposition does.  Groups of
-    one row keep the order of their first users.
+    the row, as the role set of a complete decomposition does.
     """
     if keys is None:
         keys = upa.masks
@@ -83,44 +82,42 @@ def distinct_rows_by_size(
     for u, (m, key) in enumerate(zip(upa.masks, keys)):
         if m:
             groups.setdefault(key, (m, []))[1].append(u)
-    return sorted(
-        ((perm_tuple(m), m, users) for m, users in groups.values()),
-        key=lambda row: (-len(row[0]), row[0]),
-    )
+    return list(groups.values())
 
 
-def candidate_order(
-    perms: Sequence[tuple[int, ...]], users: Sequence[Sequence[int]]
-) -> list[int]:
+def candidate_order(masks: Sequence[int], users: Sequence[Sequence[int]]) -> list[int]:
     """Row positions by (size, smallest user): the candidate order, in which
     a row's rank is its candidate role's id."""
-    return sorted(range(len(perms)), key=lambda i: (len(perms[i]), users[i][0]))
+    return sorted(range(len(masks)), key=lambda i: (masks[i].bit_count(), users[i][0]))
 
 
 class RowIndex:
     """Distinct nonempty rows of a matrix, their users and columns.
 
-    ``perms[i]``, ``masks[i]`` and ``users[i]`` describe row position i;
+    ``masks[i]`` and ``users[i]`` describe row position i, in union
+    elimination's order: size descending, then permission tuple;
     ``columns[p]`` is permission p's bitmap over positions; ``freq[p]`` is
     the number of users holding p, summed over the positions in p's column.
-    With `keys`, a position is a group of users as `distinct_rows_by_size`
-    forms it, and rows repeat.
+    With `keys`, a position is a group of users as `row_groups` forms it,
+    rows repeat, and groups of one row keep the order of their first users.
     """
 
-    __slots__ = ("perms", "masks", "users", "columns", "freq")
+    __slots__ = ("masks", "users", "columns", "freq")
 
     def __init__(
         self, upa: AccessMatrix, keys: Sequence[Hashable] | None = None
     ) -> None:
-        rows = distinct_rows_by_size(upa, keys)
-        self.perms = tuple(row[0] for row in rows)
+        # Each row is decoded once, here, for the order and the columns; the
+        # permission tuples go when the build ends.
+        rows = [(perm_tuple(m), m, users) for m, users in row_groups(upa, keys)]
+        rows.sort(key=lambda row: (-len(row[0]), row[0]))
         self.masks = tuple(row[1] for row in rows)
         self.users = tuple(tuple(row[2]) for row in rows)
         # Position i is bit i & 7 of byte i >> 3: int.from_bytes reads each
         # column once, where ORing one big int per cell would copy it.
         cols = [bytearray((len(rows) + 7) >> 3) for _ in range(upa.n_perms)]
         freq = [0] * upa.n_perms
-        for i, (perms, users) in enumerate(zip(self.perms, self.users)):
+        for i, (perms, _, users) in enumerate(rows):
             byte, bit, n = i >> 3, 1 << (i & 7), len(users)
             for p in perms:
                 cols[p][byte] |= bit
@@ -128,14 +125,17 @@ class RowIndex:
         self.columns = tuple(int.from_bytes(col, "little") for col in cols)
         self.freq = tuple(freq)
 
-    def containing(self, perms: Iterable[int], stop: int = 0) -> int:
+    def containing(self, mask: int, stop: int = 0) -> int:
         """The positions whose row holds every permission of the nonempty
-        `perms`, as a bitmap: the AND of their columns in the order given,
-        ending early once the result is `stop`.  Every row of `stop` must
-        hold all of `perms`, so no later column clears one of its bits."""
+        `mask`, as a bitmap: the AND of their columns, taken as the mask is
+        decoded from its top bit, ending early once the result is `stop`.
+        Every row of `stop` must hold all of `mask`, so no later column
+        clears one of its bits."""
         rows = -1
-        for p in perms:
-            rows &= self.columns[p]
+        while mask:
+            top = mask.bit_length() - 1
+            rows &= self.columns[top]
             if rows == stop:
                 break
+            mask ^= 1 << top
         return rows

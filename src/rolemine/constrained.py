@@ -13,26 +13,26 @@ Every ordering below is total, so mining is a pure function of the matrix
 and the config: rerunning serializes byte-identically.
 
 All stages run on the matrix's distinct-row index (rolemine._rowindex
-describes it), built on the matrix's first mine and shared with CRM and
-later calls: each distinct nonempty row once, in (size descending, sorted
-permission tuple) order, with a bitmap column per permission and the user
-frequency of each permission.  The candidates are the index rows; a
-candidate's id is its rank in (size ascending, smallest user) order.  Every
-user of a row holds the same roles through union elimination, the split
-and the lattice, so assignments are kept per row and expanded to users
-once, at the end, by the one builder shared with CRM (`_rowindex.rebuild`),
-after one lattice sweep (`lattice.reduce_rows`) unless it is disabled.
-Catalog roles are masks until then; a `Role` is built only for each one
-still held.
+describes it), built on the matrix's first use and shared with CRM and
+later calls: each distinct nonempty row once, as its mask, in (size
+descending, sorted permission tuple) order, with a bitmap column per
+permission and the user frequency of each permission.  The candidates are
+the index rows; a candidate's id is its rank in (size ascending, smallest
+user) order.  Every user of a row holds the same roles through union
+elimination, the split and the lattice, so assignments are kept per row
+and expanded to users once, at the end, by the one builder shared with CRM
+(`_rowindex.rebuild`), after one lattice sweep (`lattice.reduce_rows`)
+unless it is disabled.  Catalog roles are masks until then; a `Role` is
+built only for each one still held.
 
 Union elimination reads "which candidates lie inside candidate r" from the
-index: inverting `RowIndex.containing` (r's supersets) lists r's subsets
-by ascending position, the largest-first order of the greedy cover.  One
-walk over them, taking each that still meets what is left of r, is both
-the test (it empties the rest iff they union to r) and the cover.  The
-subsets all sit later, so the outcome depends on the masks alone.  Visited
-last to first, r's stand-ins are {r} if it is kept, else the union of its
-cover members' stand-ins, already known.
+index: inverting `RowIndex.containing` of r's mask (r's supersets) lists
+r's subsets by ascending position, the largest-first order of the greedy
+cover.  One walk over them, taking each that still meets what is left of
+r, is both the test (it empties the rest iff they union to r) and the
+cover.  The subsets all sit later, so the outcome depends on the masks
+alone.  Visited last to first, r's stand-ins are {r} if it is kept, else
+the union of its cover members' stand-ins, already known.
 
 Split policy for an oversized candidate: greedily take existing roles that
 fit inside the uncovered remainder (largest first, ties by lexicographically
@@ -47,10 +47,11 @@ It is a list of masks alone, scanned for the masks inside the candidate;
 the pool order decodes a permission tuple from each mask, and roles are
 built from the masks once, for the result.
 
-The public stages (`initial_candidates`, `eliminate_union_roles`) run the
-same cores on their arguments.  `eliminate_union_roles` indexes the
-catalog as a matrix with one row per role and groups users by the roles
-they hold.
+The public stages run the same cores on their arguments.
+`initial_candidates` reads the matrix's index and decodes each candidate's
+permission set.  `eliminate_union_roles` indexes the catalog as a matrix
+with one row per role and takes its user groups from `row_groups` alone,
+by the roles they hold, with no decode and no sort.
 """
 
 from __future__ import annotations
@@ -59,13 +60,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
-from ._rowindex import (
-    RowIndex,
-    candidate_order,
-    distinct_rows_by_size,
-    held_positions,
-    rebuild,
-)
+from ._rowindex import RowIndex, candidate_order, held_positions, rebuild, row_groups
 from .lattice import reduce_rows
 from .model import (
     AccessMatrix,
@@ -97,15 +92,14 @@ def initial_candidates(upa: AccessMatrix) -> CandidatePool:
     """One candidate per distinct nonempty row, smallest sets first.
 
     Ties break on the smallest member user index, so the processing order is
-    reproducible for any matrix.
+    reproducible for any matrix.  The rows come from the matrix's
+    distinct-row index, built on first use and kept with the matrix.
     """
-    rows = distinct_rows_by_size(upa)
-    perms = [row[0] for row in rows]
-    users = [row[2] for row in rows]
+    index = upa._row_index
     return CandidatePool(
         candidates=tuple(
-            Candidate(perms=frozenset(perms[i]), users=tuple(users[i]), order=rank)
-            for rank, i in enumerate(candidate_order(perms, users))
+            Candidate(frozenset(perm_tuple(index.masks[i])), index.users[i], rank)
+            for rank, i in enumerate(candidate_order(index.masks, index.users))
         )
     )
 
@@ -120,9 +114,9 @@ def _eliminate(index: RowIndex) -> list[set[int]]:
     # subs[i]: positions of the roles strictly inside role i, ascending.
     # Filled for j ascending, so each list is in visiting order already.
     subs: list[list[int]] = [[] for _ in masks]
-    for j, t in enumerate(index.perms):
+    for j, m in enumerate(masks):
         own = 1 << j
-        for i in perm_tuple(index.containing(t, own) ^ own):
+        for i in perm_tuple(index.containing(m, own) ^ own):
             subs[i].append(j)
 
     stand_ins: list[set[int]] = [set()] * len(masks)
@@ -154,8 +148,8 @@ def eliminate_union_roles(
 
     The roles inside each role come from the row index
     (rolemine._rowindex) with one row per role, in visiting order: a role's
-    supersets are `RowIndex.containing` its permissions, stopping once only
-    its own bit is left.  Inverted, this gives each role its subsets as an
+    supersets are `RowIndex.containing` its mask, stopping once only its
+    own bit is left.  Inverted, this gives each role its subsets as an
     ascending position list: largest first with ties by permission tuple,
     the cover order, so the cover is the one a sort of the contained roles
     would give.  A group of users with the same roles takes their stand-ins.
@@ -173,7 +167,8 @@ def eliminate_union_roles(
         )
     )
     ids = [d_in.roles[pos].id for (pos,) in catalog.users]
-    groups = [users for _, _, users in distinct_rows_by_size(upa, d_in.ua)]
+    # Group order cannot change the result: `rebuild` writes each user's set.
+    groups = [users for _, users in row_groups(upa, d_in.ua)]
     stand_ins = _eliminate(catalog)
     assigned = [
         {ids[s] for i in roles for s in stand_ins[i]}
@@ -226,11 +221,11 @@ def mine_constrained(
         return len(cat_masks) - 1
 
     pieces: dict[int, tuple[int, ...]] = {}
-    for i in candidate_order(index.perms, index.users):
+    for i in candidate_order(index.masks, index.users):
         if i not in held[i]:
             continue
         m = index.masks[i]
-        if len(index.perms[i]) <= k:
+        if m.bit_count() <= k:
             pieces[i] = (_add(m),)
             continue
         pool = [c for c, e in enumerate(cat_masks) if e & ~m == 0]

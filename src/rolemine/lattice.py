@@ -14,13 +14,14 @@ miners run `reduce_rows` on their distinct-row index, where every user of
 a row holds the same roles, and `lattice_reduce` on the index keyed by
 assigned role set; all hand the groups' roles to one builder, `rebuild`.
 
-Roles come in as masks; the pass decodes their permission tuples for its
-order.  A role's fitting rows are `RowIndex.containing` its permissions
-(rolemine._rowindex describes the index); each row keeps its fitting roles
-in removal order.  A role's holders are not stored a second time: they are
-its fitting rows that hold it, which is exact because completeness makes
-every held role fit its group.  A row's list holds only its live fitting
-roles: a removed role leaves the lists of the rows it fits.
+Roles come in as masks and stay masks; the pass decodes each role's
+permission tuple only as the tie-break key of its order.  A role's fitting
+rows are `RowIndex.containing` its mask (rolemine._rowindex describes the
+index); each row keeps its fitting roles in removal order.  A role's
+holders are not stored a second time: they are its fitting rows that hold
+it, which is exact because completeness makes every held role fit its
+group.  A row's list holds only its live fitting roles: a removed role
+leaves the lists of the rows it fits.
 
 Each holder takes one walk, which is both the test and the reassignment.
 Its `rest` is the role's mask minus the union of its other held roles,
@@ -57,12 +58,13 @@ def reduce_rows(masks: Sequence[int], index: RowIndex, held: list[set[int]]) -> 
     set of roles group g holds and is updated in place; every role held
     must fit its group.
     """
-    perms = [perm_tuple(m) for m in masks]
-    order = sorted(range(len(masks)), key=lambda i: (-len(perms[i]), perms[i]))
+    order = sorted(
+        range(len(masks)), key=lambda i: (-masks[i].bit_count(), perm_tuple(masks[i]))
+    )
     fit_rows: list[tuple[int, ...]] = [()] * len(masks)
     fits: list[list[int]] = [[] for _ in held]
     for i in order:
-        fit_rows[i] = perm_tuple(index.containing(perms[i]))
+        fit_rows[i] = perm_tuple(index.containing(masks[i]))
         for g in fit_rows[i]:
             fits[g].append(i)
 

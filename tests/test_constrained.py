@@ -20,7 +20,7 @@ from rolemine import (
     serialize_decomposition,
 )
 from rolemine._rowindex import RowIndex, candidate_order
-from rolemine.constrained import _eliminate, _split
+from rolemine.constrained import Candidate, CandidatePool, _eliminate, _split
 from rolemine.model import mask_of, perm_tuple
 from rolemine.rng import SplitMix64
 
@@ -68,6 +68,30 @@ def test_candidates_tie_break_on_smallest_user():
         (frozenset({1}), [1]),
         (frozenset({0, 1}), [2]),
     ]
+
+
+def _reference_candidates(upa):
+    """The pool from a plain dict grouping of the rows and one sort."""
+    groups = {}
+    for u, row in enumerate(upa.rows()):
+        if row:
+            groups.setdefault(row, []).append(u)
+    ranked = sorted(groups.items(), key=lambda item: (len(item[0]), item[1][0]))
+    return CandidatePool(tuple(
+        Candidate(perms, tuple(users), rank)
+        for rank, (perms, users) in enumerate(ranked)
+    ))
+
+
+def test_candidates_match_a_plain_grouping_and_leave_the_index_as_built():
+    meta = SplitMix64(5151)
+    instances = [guard_instance()]
+    instances += [synthetic_instance(meta)[0] for _ in range(20)]
+    for upa in instances:
+        assert initial_candidates(upa) == _reference_candidates(upa)
+        cached, fresh = upa._row_index, RowIndex(upa)
+        assert all(getattr(cached, name) == getattr(fresh, name)
+                   for name in RowIndex.__slots__)
 
 
 # --- eliminate_union_roles ---------------------------------------------------
@@ -299,7 +323,7 @@ def test_eliminate_matches_reference_on_candidate_catalogs():
         index = RowIndex(upa)
         ref = _reference_eliminate_union_roles(*_candidate_catalog(upa), upa)
         cid = {i: rank for rank, i in
-               enumerate(candidate_order(index.perms, index.users))}
+               enumerate(candidate_order(index.masks, index.users))}
         for i, stand_ins in enumerate(_eliminate(index)):
             removed += i not in stand_ins
             for u in index.users[i]:

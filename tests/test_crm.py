@@ -1,12 +1,15 @@
 import hashlib
 import heapq
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rolemine.crm
 from rolemine import (
     AccessMatrix,
     Decomposition,
+    IncompleteDecompositionError,
     MiningConfig,
     Role,
     is_complete,
@@ -54,6 +57,22 @@ def test_crm_assigns_role_to_superset_users_outside_cluster():
     d = mine_crm(upa, MiningConfig(max_perms_per_role=3), lattice=False)
     assert d.roles[0].perms == {0, 1}
     assert 0 in d.ua[2]
+
+
+def test_crm_rejects_a_greedy_result_that_leaves_a_row_uncovered(monkeypatch):
+    # The per-row check before the lattice pass: drop one role from the
+    # first row's set, so that row's roles no longer union to its mask.
+    greedy = rolemine.crm._greedy
+
+    def dropping(index, k):
+        role_masks, held = greedy(index, k)
+        held[0].discard(min(held[0]))
+        return role_masks, held
+
+    monkeypatch.setattr(rolemine.crm, "_greedy", dropping)
+    upa = AccessMatrix.from_rows([{0, 1, 2}, {0, 1}, {2}, {0, 1, 2}])
+    with pytest.raises(IncompleteDecompositionError, match="uncovered"):
+        mine_crm(upa, MiningConfig(max_perms_per_role=2))
 
 
 def test_crm_complete_constrained_deterministic_on_random_instances():

@@ -242,7 +242,7 @@ def _reference_reduce_rows(masks, index, held):
     fit_rows = [()] * len(masks)
     fits = [[] for _ in held]
     for i in order:
-        fit_rows[i] = perm_tuple(index.containing(perms[i]))
+        fit_rows[i] = perm_tuple(index.containing(masks[i]))
         for g in fit_rows[i]:
             fits[g].append(i)
 

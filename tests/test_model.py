@@ -18,7 +18,7 @@ from rolemine import (
     serialize_decomposition,
     singleton_decomposition,
 )
-from rolemine._rowindex import RowIndex, distinct_rows_by_size
+from rolemine._rowindex import RowIndex, row_groups
 from rolemine.model import mask_of, perm_tuple
 from rolemine.rng import SplitMix64
 
@@ -148,26 +148,28 @@ def test_constraint_examples():
     assert satisfies_constraint(Decomposition.empty(3), 1)  # vacuous
 
 
-# --- distinct_rows_by_size --------------------------------------------------
+# --- row_groups and the row index's order ------------------------------------
 
 def test_distinct_rows_groups_identical_rows():
     upa = AccessMatrix.from_rows([{0, 1}, {2}, {0, 1}])
-    assert distinct_rows_by_size(upa) == [((0, 1), 0b011, [0, 2]), ((2,), 0b100, [1])]
+    assert row_groups(upa) == [(0b011, [0, 2]), (0b100, [1])]
 
 
 def test_distinct_rows_leaves_out_empty_rows():
     upa = AccessMatrix.from_rows([[], [0], []])
-    assert distinct_rows_by_size(upa) == [((0,), 0b1, [1])]
+    assert row_groups(upa) == [(0b1, [1])]
     ua = [frozenset(), frozenset({0}), frozenset()]
-    assert distinct_rows_by_size(upa, ua) == [((0,), 0b1, [1])]
+    assert row_groups(upa, ua) == [(0b1, [1])]
 
 
 def test_distinct_rows_all_distinct():
-    # size descending, then permission tuple
+    # groups in first-user order; the index sorts them
     upa = AccessMatrix.from_rows([{1}, {0}, {0, 2}, {0, 1}])
-    groups = distinct_rows_by_size(upa)
-    assert [perms for perms, _, _ in groups] == [(0, 1), (0, 2), (0,), (1,)]
-    assert [users for _, _, users in groups] == [[3], [2], [1], [0]]
+    assert row_groups(upa) == [(0b010, [0]), (0b001, [1]), (0b101, [2]), (0b011, [3])]
+    # size descending, then permission tuple
+    index = RowIndex(upa)
+    assert [perm_tuple(m) for m in index.masks] == [(0, 1), (0, 2), (0,), (1,)]
+    assert index.users == ((3,), (2,), (1,), (0,))
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,27 +180,30 @@ def test_distinct_rows_all_distinct():
 )
 def test_distinct_rows_partitions_users(rows):
     upa = AccessMatrix.from_rows(rows, n_perms=8)
-    groups = distinct_rows_by_size(upa)
-    members = [u for _, _, users in groups for u in users]
+    groups = row_groups(upa)
+    members = [u for _, users in groups for u in users]
     assert sorted(members) == [u for u in range(upa.n_users) if upa.masks[u]]
     assert len(members) == len(set(members))
-    for perms, mask, users in groups:
-        assert perms == perm_tuple(mask)
+    for mask, users in groups:
         assert all(upa.masks[u] == mask for u in users)
-    keys = [(-len(perms), perms) for perms, _, _ in groups]
+    firsts = [users[0] for _, users in groups]
+    assert firsts == sorted(firsts)
+    index = RowIndex(upa)
+    assert sorted(zip(index.masks, index.users)) == sorted(
+        (m, tuple(users)) for m, users in groups
+    )
+    keys = [(-m.bit_count(), perm_tuple(m)) for m in index.masks]
     assert keys == sorted(set(keys))
-
 
 
 def test_distinct_rows_keyed_by_role_set_splits_a_row():
     # users 0 and 2 share row {0, 1} but hold different roles
     upa = AccessMatrix.from_rows([{0, 1}, {2}, {0, 1}, {0, 1}])
     ua = [frozenset({5}), frozenset({7}), frozenset({3, 4}), frozenset({5})]
-    assert distinct_rows_by_size(upa, ua) == [
-        ((0, 1), 0b011, [0, 3]),
-        ((0, 1), 0b011, [2]),
-        ((2,), 0b100, [1]),
-    ]
+    assert row_groups(upa, ua) == [(0b011, [0, 3]), (0b100, [1]), (0b011, [2])]
+    index = RowIndex(upa, ua)
+    assert index.masks == (0b011, 0b011, 0b100)
+    assert index.users == ((0, 3), (2,), (1,))
 
 
 @settings(max_examples=60, deadline=None)
@@ -215,14 +220,21 @@ def test_distinct_rows_keyed_groups_share_one_row(drawn):
     # the key is (row, choice), so it fixes the row as a role set does
     upa = AccessMatrix.from_rows([row for row, _ in drawn], n_perms=6)
     keys = [(m, choice) for m, (_, choice) in zip(upa.masks, drawn)]
-    groups = distinct_rows_by_size(upa, keys)
-    members = [u for _, _, users in groups for u in users]
+    groups = row_groups(upa, keys)
+    members = [u for _, users in groups for u in users]
     assert sorted(members) == [u for u in range(upa.n_users) if upa.masks[u]]
-    for perms, mask, users in groups:
-        assert perms == perm_tuple(mask)
+    for mask, users in groups:
         assert all(upa.masks[u] == mask for u in users)
         assert len({keys[u] for u in users}) == 1
-    assert len({keys[users[0]] for _, _, users in groups}) == len(groups)
+    assert len({keys[users[0]] for _, users in groups}) == len(groups)
+    firsts = [users[0] for _, users in groups]
+    assert firsts == sorted(firsts)
+    # The index sorts by row alone: groups of one row keep first-user order.
+    index = RowIndex(upa, keys)
+    order = [(-m.bit_count(), perm_tuple(m), users[0])
+             for m, users in zip(index.masks, index.users)]
+    assert order == sorted(order)
+    assert sorted(index.users) == sorted(tuple(users) for _, users in groups)
 
 
 @settings(max_examples=300, deadline=None)
@@ -234,12 +246,12 @@ def test_row_index_containing_names_the_rows_holding_a_set(rows, wanted):
     index = RowIndex(AccessMatrix.from_rows(rows, n_perms=8))
     s = mask_of(wanted)
     holding = [i for i, m in enumerate(index.masks) if s & ~m == 0]
-    assert index.containing(wanted) == mask_of(holding)
+    assert index.containing(s) == mask_of(holding)
     # Stopping at a row's own bit: only that bit is left iff no other
     # distinct row contains the row.
-    for j, (perms, m) in enumerate(zip(index.perms, index.masks)):
+    for j, m in enumerate(index.masks):
         alone = all(m & ~other for i, other in enumerate(index.masks) if i != j)
-        assert (index.containing(perms, 1 << j) == 1 << j) == alone
+        assert (index.containing(m, 1 << j) == 1 << j) == alone
 
 
 @settings(max_examples=300, deadline=None)
@@ -261,7 +273,7 @@ def test_row_index_columns_and_freq_match_the_rows(drawn, keyed):
     index = RowIndex(upa, keys)
     assert len(index.columns) == len(index.freq) == upa.n_perms
     for p in range(upa.n_perms):
-        holding = [i for i, perms in enumerate(index.perms) if p in perms]
+        holding = [i for i, m in enumerate(index.masks) if m >> p & 1]
         assert index.columns[p] == mask_of(holding)
         assert index.freq[p] == sum(len(index.users[i]) for i in holding)
         assert index.freq[p] == sum(m >> p & 1 for m in upa.masks)
@@ -292,6 +304,8 @@ def test_mining_leaves_the_cached_index_as_built():
     for upa in instances:
         _mine_everywhere(upa)
         cached = upa._row_index
+        # Each row once, as its mask: no permission tuple outlives the build.
+        assert RowIndex.__slots__ == ("masks", "users", "columns", "freq")
         assert _fields(cached) == _fields(RowIndex(upa))
         # Tuples all through: no consumer can change the index in place.
         for name, value in _fields(cached).items():
