@@ -6,9 +6,12 @@ rows, so the index keeps each distinct nonempty row once, as its mask, with
 its users.  Rows are addressed by position in union elimination's order:
 size descending, then permission tuple.  Each permission has a vertical
 bitmap over positions (Eclat's vertical layout, Zaki, "Scalable algorithms
-for association mining", TKDE 2000), and the index answers "the rows that
-contain permission set S" itself: `containing` ANDs the columns of S's
-mask, decoding it from the top bit.  The build decodes each row once: the
+for association mining", TKDE 2000), and the index answers "the rows, among
+given positions, that contain permission set S" itself: `containing` ANDs
+the positions with the columns of S's mask, decoding it from the top bit,
+and stops once none is left.  The order puts every strict superset of a
+row before the row, as it is larger, so a row's strict supersets are the
+rows before it that contain it.  The build decodes each row once: the
 permission tuples give the order and fill the columns and frequencies in
 one loop, and are dropped when the build ends, so a kept index holds no
 row in a second form.
@@ -125,17 +128,13 @@ class RowIndex:
         self.columns = tuple(int.from_bytes(col, "little") for col in cols)
         self.freq = tuple(freq)
 
-    def containing(self, mask: int, stop: int = 0) -> int:
-        """The positions whose row holds every permission of the nonempty
-        `mask`, as a bitmap: the AND of their columns, taken as the mask is
-        decoded from its top bit, ending early once the result is `stop`.
-        Every row of `stop` must hold all of `mask`, so no later column
-        clears one of its bits."""
-        rows = -1
-        while mask:
+    def containing(self, mask: int, rows: int = -1) -> int:
+        """The positions in `rows` (by default all) whose row holds every
+        permission of the nonempty `mask`, as a bitmap: `rows` ANDed with
+        the columns of the mask, decoded from its top bit, ending early once
+        no position is left."""
+        while mask and rows:
             top = mask.bit_length() - 1
             rows &= self.columns[top]
-            if rows == stop:
-                break
             mask ^= 1 << top
         return rows

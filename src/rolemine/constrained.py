@@ -26,13 +26,14 @@ unless it is disabled.  Catalog roles are masks until then; a `Role` is
 built only for each one still held.
 
 Union elimination reads "which candidates lie inside candidate r" from the
-index: inverting `RowIndex.containing` of r's mask (r's supersets) lists
-r's subsets by ascending position, the largest-first order of the greedy
-cover.  One walk over them, taking each that still meets what is left of
-r, is both the test (it empties the rest iff they union to r) and the
-cover.  The subsets all sit later, so the outcome depends on the masks
-alone.  Visited last to first, r's stand-ins are {r} if it is kept, else
-the union of its cover members' stand-ins, already known.
+index.  r's strict supersets are larger, so they sit before r: they are
+`RowIndex.containing` r's mask among the positions before r.  Inverting
+that lists r's subsets by ascending position, the largest-first order of
+the greedy cover.  One walk over them, taking each that still meets what
+is left of r, is both the test (it empties the rest iff they union to r)
+and the cover.  The subsets all sit later, so the outcome depends on the
+masks alone.  Visited last to first, r's stand-ins are {r} if it is kept,
+else the union of its cover members' stand-ins, already known.
 
 Split policy for an oversized candidate: greedily take existing roles that
 fit inside the uncovered remainder (largest first, ties by lexicographically
@@ -113,10 +114,11 @@ def _eliminate(index: RowIndex) -> list[set[int]]:
     masks = index.masks
     # subs[i]: positions of the roles strictly inside role i, ascending.
     # Filled for j ascending, so each list is in visiting order already.
+    # Rows are distinct and sorted size descending, so role j's strict
+    # supersets are the rows before j that contain it.
     subs: list[list[int]] = [[] for _ in masks]
     for j, m in enumerate(masks):
-        own = 1 << j
-        for i in perm_tuple(index.containing(m, own) ^ own):
+        for i in perm_tuple(index.containing(m, (1 << j) - 1)):
             subs[i].append(j)
 
     stand_ins: list[set[int]] = [set()] * len(masks)
@@ -148,10 +150,10 @@ def eliminate_union_roles(
 
     The roles inside each role come from the row index
     (rolemine._rowindex) with one row per role, in visiting order: a role's
-    supersets are `RowIndex.containing` its mask, stopping once only its
-    own bit is left.  Inverted, this gives each role its subsets as an
-    ascending position list: largest first with ties by permission tuple,
-    the cover order, so the cover is the one a sort of the contained roles
+    strict supersets are larger, so they are the roles before it that are
+    `RowIndex.containing` its mask.  Inverted, this gives each role its
+    subsets as an ascending position list: largest first with ties by
+    permission tuple, the cover order, so the cover is the one a sort of the contained roles
     would give.  A group of users with the same roles takes their stand-ins.
     """
     d_in = Decomposition(roles=tuple(roles), ua=tuple(frozenset(s) for s in ua))

@@ -14,18 +14,21 @@ Deterministic policies:
 
 The loop runs on the matrix's distinct-row index (rolemine._rowindex),
 built once per matrix and shared with the constrained miner.  Users of
-one row always share an uncovered set, so a cluster is a set of row
-positions keyed by its uncovered mask, with its user count and one
-representative row.  Clusters persist across rounds: a pick moves only its
-holders to the cluster of their remaining mask.  The holders are found
+one row always share an uncovered set, so a cluster is the set of row
+positions with one uncovered mask; it keeps that mask, its user count and
+one representative row, not its rows.  Clusters persist across rounds: a
+pick moves only its holders to the cluster of their remaining mask.  The holders are found
 without a scan.  Each permission keeps an "uncovered" bitmap over row
 positions, starting as a copy of its index column, so the rows still
 missing every permission of a pick are the AND of its at most k bitmaps
 (the loop ANDs its own copies, not through `RowIndex.containing`, as
-they lose bits every round); ANDed with the bitmap of representative
-rows, that names each holder cluster once.  A moved cluster hands its
-representative to its new mask, and drops it when it merges into an
-existing cluster or is fully covered.
+they lose bits every round).  The rows of a cluster share its mask, so
+they are holders together: the holder bitmap is decoded once per round,
+every holder row takes the role, and a holder flagged as its cluster's
+representative moves the cluster.  A moved cluster hands its
+representative to its new mask, and clears its flag only when it merges
+into an existing cluster; a fully covered cluster's rows are in no
+uncovered bitmap, so they never hold a pick again.
 
 The winning key (user count, min(|mask|, k)) needs no truncation.  The
 clusters sit in tiers, one set of representatives per key, beside a heap
@@ -81,13 +84,12 @@ def _greedy(index: RowIndex, k: int) -> tuple[list[int], list[set[int]]]:
     # uncovered[p]: the rows still missing permission p.
     uncovered = list(index.columns)
     # A cluster is keyed by its uncovered mask and named by its
-    # representative row r: rows[r] and users[r] are its row positions and
-    # user count, mask_at[r] its mask; reps has the bit of every
-    # representative set.
-    rows = [[i] for i in range(len(index.masks))]
+    # representative row r: users[r] is its user count and mask_at[r] its
+    # mask; reps[r] is set while r represents a cluster.  The rows of a
+    # cluster share its mask, so they hold a pick together.
     users = [len(group) for group in index.users]
     mask_at = list(index.masks)
-    reps = (1 << len(rows)) - 1
+    reps = bytearray(b"\x01") * len(mask_at)
     clusters = {m: r for r, m in enumerate(mask_at)}
 
     # tiers[(-user count, -width)], width = min(|mask|, k): the
@@ -106,7 +108,7 @@ def _greedy(index: RowIndex, k: int) -> tuple[list[int], list[set[int]]]:
     cands: dict[int, int] = {}
 
     role_masks: list[int] = []
-    held: list[set[int]] = [set() for _ in rows]
+    held: list[set[int]] = [set() for _ in mask_at]
     while clusters:
         while not tiers[keys[0]]:
             del tiers[heapq.heappop(keys)]
@@ -136,7 +138,10 @@ def _greedy(index: RowIndex, k: int) -> tuple[list[int], list[set[int]]]:
             holders &= uncovered[p]
         assert holders > 0, "the picked cluster holds its candidate"
         moved = 0
-        for r in perm_tuple(holders & reps):
+        for r in perm_tuple(holders):
+            held[r].add(rid)
+            if not reps[r]:
+                continue
             m = mask_at[r]
             size = m.bit_count()
             tiers[(-users[r], -min(size, k))].remove(r)
@@ -145,11 +150,10 @@ def _greedy(index: RowIndex, k: int) -> tuple[list[int], list[set[int]]]:
                 perms_of.pop(r, None)
                 cands.pop(r, None)
             moved += users[r]
-            for i in rows[r]:
-                held[i].add(rid)
             rest = m & ~pick
+            # A covered cluster's rows have left every uncovered bitmap, so
+            # they are never holders again and its flag can stay.
             if not rest:
-                reps ^= 1 << r
                 continue
             width = min(rest.bit_count(), k)
             into = clusters.get(rest)
@@ -157,9 +161,8 @@ def _greedy(index: RowIndex, k: int) -> tuple[list[int], list[set[int]]]:
                 clusters[rest] = into = r
                 mask_at[r] = rest
             else:
-                reps ^= 1 << r
+                reps[r] = 0
                 tiers[(-users[into], -width)].remove(into)
-                rows[into] += rows[r]
                 users[into] += users[r]
             key = (-users[into], -width)
             tier = tiers.get(key)

@@ -247,11 +247,13 @@ def test_row_index_containing_names_the_rows_holding_a_set(rows, wanted):
     s = mask_of(wanted)
     holding = [i for i, m in enumerate(index.masks) if s & ~m == 0]
     assert index.containing(s) == mask_of(holding)
-    # Stopping at a row's own bit: only that bit is left iff no other
-    # distinct row contains the row.
+    # Within the positions before j: the rows before j holding the set, and
+    # none holding row j iff no other distinct row contains row j.
     for j, m in enumerate(index.masks):
+        before = (1 << j) - 1
+        assert index.containing(s, before) == index.containing(s) & before
         alone = all(m & ~other for i, other in enumerate(index.masks) if i != j)
-        assert (index.containing(m, 1 << j) == 1 << j) == alone
+        assert (index.containing(m, before) == 0) == alone
 
 
 @settings(max_examples=300, deadline=None)
