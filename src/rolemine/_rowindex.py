@@ -3,35 +3,37 @@
 Users with identical rows are interchangeable for every stage of the
 constrained pipeline and for CRM's greedy loop, whose clusters are sets of
 rows, so the index keeps each distinct nonempty row once, as its mask, with
-its users.  Rows are addressed by position in union elimination's order:
-size descending, then permission tuple.  Each permission has a vertical
-bitmap over positions (Eclat's vertical layout, Zaki, "Scalable algorithms
-for association mining", TKDE 2000), and the index answers "the rows, among
-given positions, that contain permission set S" itself: `containing` ANDs
-the positions with the columns of S's mask, decoding it from the top bit,
-and stops once none is left.  The order puts every strict superset of a
-row before the row, as it is larger, so a row's strict supersets are the
-rows before it that contain it.  The build decodes each row once: the
-permission tuples give the order and fill the columns and frequencies in
-one loop, and are dropped when the build ends, so a kept index holds no
-row in a second form.
+its users.  It is built from `(mask, users)` groups and the number of
+permissions.  Rows are addressed by position in cover order (`cover_key`):
+size descending, then permission tuple, the one order in which union
+elimination, the split's pool and the lattice take roles.  Each permission
+has a vertical bitmap over positions (Eclat's vertical layout, Zaki,
+"Scalable algorithms for association mining", TKDE 2000), and the index
+answers "the rows, among given positions, that contain permission set S"
+itself: `containing` ANDs the positions with the columns of S's mask,
+decoding it from the top bit, and stops once none is left.  The order puts
+every strict superset of a row before the row, as it is larger, so a row's
+strict supersets are the rows before it that contain it.  The build decodes
+each row once: the permission tuples give the order and fill the columns
+and frequencies in one loop, and are dropped when the build ends.
 
 A matrix builds its index once, on first use (`AccessMatrix._row_index`),
-and keeps it, so both miners, `initial_candidates` and every later call on
-that matrix share one build.  The miners hand it to the stage cores; CRM
-starts its uncovered-cell bitmaps and permission frequencies from copies
-of it.  Every field is a tuple, each user group too: no consumer can
-change a shared index, and once a collection has run the garbage
-collector tracks the index object alone.  The keyed indexes of
-`lattice_reduce` and `eliminate_union_roles` are built per call.
+from its `row_groups`, and keeps it, so both miners, `initial_candidates`
+and every later call on that matrix share one build.  The miners hand it
+to the stage cores; CRM starts its uncovered-cell bitmaps and permission
+frequencies from copies of it.  Every field is a tuple, each user group
+too: no consumer can change a shared index, and once a collection has run
+the garbage collector tracks the index object alone.
 
 `row_groups` is the one place users are grouped; it only groups, and the
-index sorts its groups.  The miners group by row.  `eliminate_union_roles`
-and `lattice_reduce` take a complete decomposition, whose users of one row
-may hold different roles, and group by the assigned role set, which fixes
-the row.  Union elimination returns each role's stand-ins for its callers
-to map their groups through; from the per-group role sets `rebuild`, the
-one builder, makes every stage's result.
+index sorts its groups.  The miners group by row.  `lattice_reduce` takes
+a complete decomposition, whose users of one row may hold different roles,
+groups by the assigned role set, which fixes the row, and indexes those
+groups per call.  `eliminate_union_roles` groups users the same way and
+indexes its catalog from `(mask, (position,))` pairs, one row per role.
+Every stage's result comes from one builder, `rebuild`, given the role set
+of each group; the miners reach it through `mined`, which builds a `Role`
+only for each mask still held, with its position as its id.
 """
 
 from __future__ import annotations
@@ -70,6 +72,17 @@ def rebuild(
     return Decomposition(roles=tuple(r for r in roles if r.id in live), ua=tuple(ua))
 
 
+def mined(
+    upa: AccessMatrix, masks: Sequence[int], held: Sequence[set[int]]
+) -> Decomposition:
+    """A miner's result: role i is ``masks[i]`` with id i, ``held[g]`` holds
+    the roles of row position g of the matrix's index, and a `Role` is built
+    only for each mask still held."""
+    live = set().union(*held)
+    roles = [Role(i, frozenset(perm_tuple(masks[i]))) for i in sorted(live)]
+    return rebuild(roles, held, upa._row_index.users, upa.n_users)
+
+
 def row_groups(
     upa: AccessMatrix, keys: Sequence[Hashable] | None = None
 ) -> list[tuple[int, list[int]]]:
@@ -88,6 +101,12 @@ def row_groups(
     return list(groups.values())
 
 
+def cover_key(perms: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The cover order's sort key of a role or row, given as its permission
+    tuple: size descending, then the tuple."""
+    return -len(perms), perms
+
+
 def candidate_order(masks: Sequence[int], users: Sequence[Sequence[int]]) -> list[int]:
     """Row positions by (size, smallest user): the candidate order, in which
     a row's rank is its candidate role's id."""
@@ -97,29 +116,29 @@ def candidate_order(masks: Sequence[int], users: Sequence[Sequence[int]]) -> lis
 class RowIndex:
     """Distinct nonempty rows of a matrix, their users and columns.
 
-    ``masks[i]`` and ``users[i]`` describe row position i, in union
-    elimination's order: size descending, then permission tuple;
-    ``columns[p]`` is permission p's bitmap over positions; ``freq[p]`` is
-    the number of users holding p, summed over the positions in p's column.
-    With `keys`, a position is a group of users as `row_groups` forms it,
-    rows repeat, and groups of one row keep the order of their first users.
+    ``masks[i]`` and ``users[i]`` describe row position i, in cover order
+    (`cover_key`); ``columns[p]`` is permission p's bitmap over positions;
+    ``freq[p]`` is the number of users holding p, summed over the positions
+    in p's column.  The index is built from `(mask, users)` groups with
+    nonempty masks below bit `n_perms`, as `row_groups` forms them; where
+    groups repeat a row, those of one row keep their given order.
     """
 
     __slots__ = ("masks", "users", "columns", "freq")
 
     def __init__(
-        self, upa: AccessMatrix, keys: Sequence[Hashable] | None = None
+        self, groups: Iterable[tuple[int, Sequence[int]]], n_perms: int
     ) -> None:
         # Each row is decoded once, here, for the order and the columns; the
         # permission tuples go when the build ends.
-        rows = [(perm_tuple(m), m, users) for m, users in row_groups(upa, keys)]
-        rows.sort(key=lambda row: (-len(row[0]), row[0]))
+        rows = [(perm_tuple(m), m, users) for m, users in groups]
+        rows.sort(key=lambda row: cover_key(row[0]))
         self.masks = tuple(row[1] for row in rows)
         self.users = tuple(tuple(row[2]) for row in rows)
         # Position i is bit i & 7 of byte i >> 3: int.from_bytes reads each
         # column once, where ORing one big int per cell would copy it.
-        cols = [bytearray((len(rows) + 7) >> 3) for _ in range(upa.n_perms)]
-        freq = [0] * upa.n_perms
+        cols = [bytearray((len(rows) + 7) >> 3) for _ in range(n_perms)]
+        freq = [0] * n_perms
         for i, (perms, _, users) in enumerate(rows):
             byte, bit, n = i >> 3, 1 << (i & 7), len(users)
             for p in perms:

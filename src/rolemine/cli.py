@@ -111,9 +111,6 @@ def _mine(
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        _log("error: k must be >= 1")
-        return 2
     names_path = args.output + ".names.json"
     writes = {"--output": args.output, "--metrics": args.metrics,
               "<output>.names.json": names_path}
@@ -225,17 +222,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if algo not in _MINERS:
             _log(f"error: unknown algorithm {algo!r}")
             return 2
-    try:
-        k_list = [int(x) for x in args.k_list.split(",") if x.strip()]
-    except ValueError:
-        _log(f"error: bad k list {args.k_list!r}")
-        return 2
-    if not k_list or any(k < 1 for k in k_list):
-        _log("error: k must be >= 1")
-        return 2
-    if args.jobs < 1:
-        _log("error: jobs must be >= 1")
-        return 2
     if args.input:
         upa, _ = _load_matrix(args.input, args.format)
         name, truth = args.input, None
@@ -246,7 +232,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = [
         _compare_cell(name, upa, truth, algo, k, args.seed, not args.no_lattice)
         for algo in algos
-        for k in k_list
+        for k in args.k_list
     ]
     buf = io.StringIO()
     out = csv.writer(buf, lineterminator="\n")
@@ -259,14 +245,43 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        _log("error: k must be >= 1")
-        return 2
     upa, _ = _load_matrix(args.input, args.format)
     count, witness = optimal_role_count(upa, args.k)
     sys.stdout.write(f"optimal_r_count: {count}\n")
     sys.stdout.write(serialize_decomposition(witness))
     return 0
+
+
+def _int_rule(rule: str, holds):
+    """An argparse type: an int for which `holds` is true, else a usage
+    error reading `rule`, raised while the arguments are parsed, before any
+    file is read."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if not holds(value):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+
+    return parse
+
+
+_K = _int_rule("k must be >= 1", lambda k: k >= 1)
+_JOBS = _int_rule("jobs must be >= 1", lambda jobs: jobs >= 1)
+_SEED = _int_rule(
+    "seed must be a 64-bit unsigned integer", lambda seed: 0 <= seed < 1 << 64
+)
+
+
+def _k_list(text: str) -> list[int]:
+    """An argparse type: comma-separated values of --k, at least one."""
+    k_list = [_K(x) for x in text.split(",") if x.strip()]
+    if not k_list:
+        raise argparse.ArgumentTypeError("no k given")
+    return k_list
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -278,14 +293,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mine = sub.add_parser("mine", help="mine one dataset with one algorithm")
     mine.add_argument("--algo", required=True, choices=sorted(_MINERS))
-    mine.add_argument("--k", required=True, type=int)
+    mine.add_argument("--k", required=True, type=_K)
     mine.add_argument("--input", required=True)
     mine.add_argument("--format", choices=("sparse", "dense"), default="sparse")
     mine.add_argument("--output", required=True)
     mine.add_argument("--metrics", required=True)
     mine.add_argument("--truth")
     mine.add_argument("--no-lattice", action="store_true")
-    mine.add_argument("--seed", type=int, default=0)
+    mine.add_argument("--seed", type=_SEED, default=0)
     mine.set_defaults(func=cmd_mine)
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset with ground truth")
@@ -294,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n-roles", required=True, type=int)
     gen.add_argument("--max-roles-per-user", required=True, type=int)
     gen.add_argument("--max-perms-per-role", required=True, type=int)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_SEED, default=0)
     gen.add_argument("--format", choices=("sparse", "dense"), default="sparse")
     gen.add_argument("--out-upa", required=True)
     gen.add_argument("--out-truth", required=True)
@@ -304,19 +319,19 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--input")
     comp.add_argument("--format", choices=("sparse", "dense"), default="sparse")
     comp.add_argument("--gen-spec")
-    comp.add_argument("--k-list", required=True)
+    comp.add_argument("--k-list", required=True, type=_k_list)
     comp.add_argument("--algos", default="constrained,crm")
     comp.add_argument("--out", required=True)
     comp.add_argument("--no-lattice", action="store_true")
-    comp.add_argument("--seed", type=int, default=0)
+    comp.add_argument("--seed", type=_SEED, default=0)
     # Kept for compatibility: cells run in order, as threads were slower.
-    comp.add_argument("--jobs", type=int, default=1)
+    comp.add_argument("--jobs", type=_JOBS, default=1)
     comp.set_defaults(func=cmd_compare)
 
     orc = sub.add_parser("oracle", help="exact optimum for tiny instances")
     orc.add_argument("--input", required=True)
     orc.add_argument("--format", choices=("sparse", "dense"), default="sparse")
-    orc.add_argument("--k", required=True, type=int)
+    orc.add_argument("--k", required=True, type=_K)
     orc.set_defaults(func=cmd_oracle)
     return parser
 

@@ -14,16 +14,16 @@ and the config: rerunning serializes byte-identically.
 
 All stages run on the matrix's distinct-row index (rolemine._rowindex
 describes it), built on the matrix's first use and shared with CRM and
-later calls: each distinct nonempty row once, as its mask, in (size
-descending, sorted permission tuple) order, with a bitmap column per
-permission and the user frequency of each permission.  The candidates are
-the index rows; a candidate's id is its rank in (size ascending, smallest
-user) order.  Every user of a row holds the same roles through union
-elimination, the split and the lattice, so assignments are kept per row
-and expanded to users once, at the end, by the one builder shared with CRM
-(`_rowindex.rebuild`), after one lattice sweep (`lattice.reduce_rows`)
-unless it is disabled.  Catalog roles are masks until then; a `Role` is
-built only for each one still held.
+later calls: each distinct nonempty row once, as its mask, in cover order
+(`_rowindex.cover_key`: size descending, then permission tuple), with a
+bitmap column per permission and the user frequency of each permission.
+The candidates are the index rows; a candidate's id is its rank in (size
+ascending, smallest user) order.  Every user of a row holds the same roles
+through union elimination, the split and the lattice, so assignments are
+kept per row.  After one lattice sweep (`lattice.reduce_rows`), unless it
+is disabled, the result function shared with CRM (`_rowindex.mined`)
+builds a `Role` for each catalog mask still held and expands the rows to
+users once.
 
 Union elimination reads "which candidates lie inside candidate r" from the
 index.  r's strict supersets are larger, so they sit before r: they are
@@ -45,14 +45,14 @@ remainder never fits again, so one pass over the pool in that order makes
 the same picks as repeatedly taking the best fitting role.  The catalog only
 grows: no chunk equals a catalog role, which would have been taken first.
 It is a list of masks alone, scanned for the masks inside the candidate;
-the pool order decodes a permission tuple from each mask, and roles are
-built from the masks once, for the result.
+the pool is sorted by the cover key of each mask's decoded tuple.
 
 The public stages run the same cores on their arguments.
 `initial_candidates` reads the matrix's index and decodes each candidate's
-permission set.  `eliminate_union_roles` indexes the catalog as a matrix
-with one row per role and takes its user groups from `row_groups` alone,
-by the roles they hold, with no decode and no sort.
+permission set.  `eliminate_union_roles` indexes its catalog from
+`(mask, (position,))` pairs, one row per role, and takes its user groups
+from `row_groups` alone, by the roles they hold, with no decode and no
+sort.
 """
 
 from __future__ import annotations
@@ -61,7 +61,15 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
-from ._rowindex import RowIndex, candidate_order, held_positions, rebuild, row_groups
+from ._rowindex import (
+    RowIndex,
+    candidate_order,
+    cover_key,
+    held_positions,
+    mined,
+    rebuild,
+    row_groups,
+)
 from .lattice import reduce_rows
 from .model import (
     AccessMatrix,
@@ -86,6 +94,8 @@ class Candidate:
 
 @dataclass(frozen=True)
 class CandidatePool:
+    """The candidates of a matrix, in processing order."""
+
     candidates: tuple[Candidate, ...]
 
 
@@ -148,12 +158,12 @@ def eliminate_union_roles(
     with covering roles that go too replaced by their own covers.  Subsets
     are all smaller, so the outcome never depends on the order of removal.
 
-    The roles inside each role come from the row index
-    (rolemine._rowindex) with one row per role, in visiting order: a role's
-    strict supersets are larger, so they are the roles before it that are
-    `RowIndex.containing` its mask.  Inverted, this gives each role its
-    subsets as an ascending position list: largest first with ties by
-    permission tuple, the cover order, so the cover is the one a sort of the contained roles
+    The roles inside each role come from a row index (rolemine._rowindex)
+    built from one `(mask, (position,))` pair per role, in cover order: a
+    role's strict supersets are larger, so they are the roles before it
+    that are `RowIndex.containing` its mask.  Inverted, this gives each role
+    its subsets as an ascending position list, largest first with ties by
+    permission tuple, so the cover is the one a sort of the contained roles
     would give.  A group of users with the same roles takes their stand-ins.
     """
     d_in = Decomposition(roles=tuple(roles), ua=tuple(frozenset(s) for s in ua))
@@ -161,12 +171,10 @@ def eliminate_union_roles(
         raise IncompleteDecompositionError(
             "eliminate_union_roles requires a complete decomposition"
         )
-    # One row per role: the index holds the roles in visiting order with
-    # their columns, and a row's one user is the role's catalog position.
+    # One row per role: the index holds the roles in cover order with their
+    # columns, and a row's one user is the role's catalog position.
     catalog = RowIndex(
-        AccessMatrix(
-            len(d_in.roles), upa.n_perms, tuple(mask_of(r.perms) for r in d_in.roles)
-        )
+        [(mask_of(r.perms), (pos,)) for pos, r in enumerate(d_in.roles)], upa.n_perms
     )
     ids = [d_in.roles[pos].id for (pos,) in catalog.users]
     # Group order cannot change the result: `rebuild` writes each user's set.
@@ -231,7 +239,7 @@ def mine_constrained(
             pieces[i] = (_add(m),)
             continue
         pool = [c for c, e in enumerate(cat_masks) if e & ~m == 0]
-        pool.sort(key=lambda c: (-cat_masks[c].bit_count(), perm_tuple(cat_masks[c])))
+        pool.sort(key=lambda c: cover_key(perm_tuple(cat_masks[c])))
         taken, chunks = _split(m, [cat_masks[c] for c in pool], k, index.freq)
         pieces[i] = tuple(pool[j] for j in taken) + tuple(
             _add(mask_of(c)) for c in chunks
@@ -240,8 +248,4 @@ def mine_constrained(
     roles = [set(chain.from_iterable(pieces[c] for c in cands)) for cands in held]
     if lattice:
         reduce_rows(cat_masks, index, roles)
-    live = set().union(*roles)
-    catalog = [
-        Role(i, frozenset(perm_tuple(m))) for i, m in enumerate(cat_masks) if i in live
-    ]
-    return rebuild(catalog, roles, index.users, upa.n_users)
+    return mined(upa, cat_masks, roles)

@@ -55,22 +55,22 @@ Roles are kept as masks, and a `Role` is built only for each one still
 held at the end; assignments are kept per row.  With the lattice on, a
 per-row check that each row's roles union to its mask comes first.  Then
 one lattice sweep (`lattice.reduce_rows`) runs over the index, which
-equals `lattice_reduce` on the raw output, and the one builder shared with
-the constrained miner (`_rowindex.rebuild`) expands the rows to users once.
+equals `lattice_reduce` on the raw output, and the result function shared
+with the constrained miner (`_rowindex.mined`) builds the held roles and
+expands the rows to users once.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from ._rowindex import RowIndex, rebuild
+from ._rowindex import RowIndex, mined
 from .lattice import reduce_rows
 from .model import (
     AccessMatrix,
     Decomposition,
     IncompleteDecompositionError,
     MiningConfig,
-    Role,
     mask_of,
     perm_tuple,
 )
@@ -182,6 +182,9 @@ def _greedy(index: RowIndex, k: int) -> tuple[list[int], list[set[int]]]:
 def mine_crm(
     upa: AccessMatrix, cfg: MiningConfig, *, lattice: bool = True
 ) -> Decomposition:
+    """Run the CRM baseline, then the lattice pass unless `lattice` is off;
+    always returns a complete decomposition whose roles all have at most
+    cfg.max_perms_per_role permissions."""
     k = cfg.max_perms_per_role
     index = upa._row_index
     role_masks, held = _greedy(index, k)
@@ -195,8 +198,4 @@ def mine_crm(
                     "CRM left a row uncovered before the lattice pass"
                 )
         reduce_rows(role_masks, index, held)
-    live = set().union(*held)
-    catalog = [
-        Role(i, frozenset(perm_tuple(m))) for i, m in enumerate(role_masks) if i in live
-    ]
-    return rebuild(catalog, held, index.users, upa.n_users)
+    return mined(upa, role_masks, held)

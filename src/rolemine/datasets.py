@@ -53,6 +53,9 @@ def _logical_lines(text: str) -> list[tuple[int, str]]:
 
 
 class SparseParseResult(NamedTuple):
+    """A parsed sparse file: the matrix and the input token of each user and
+    permission index."""
+
     matrix: AccessMatrix
     user_names: tuple[str, ...]
     perm_names: tuple[str, ...]
@@ -220,6 +223,9 @@ def serialize_catalog(catalog: Sequence[frozenset[int]]) -> str:
 
 
 def parse_catalog(text: str) -> tuple[frozenset[int], ...]:
+    """The permission sets of ``role <i>: p<n> ...`` lines, in file order;
+    the inverse of serialize_catalog.  Comments and blank lines are skipped;
+    any other line is a ParseError."""
     return tuple(
         _parse_line(line_no, line, ("role",))[2]
         for line_no, line in _logical_lines(text)
@@ -254,6 +260,9 @@ def relabel_catalog(
 
 @dataclass(frozen=True)
 class GeneratorParams:
+    """Sizes and seed of a `generate` instance; each is checked when the
+    parameters are made."""
+
     n_users: int
     n_perms: int
     n_roles: int

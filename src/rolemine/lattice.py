@@ -11,11 +11,13 @@ completeness and the cardinality bound are preserved by construction.
 The pass runs on row groups, not users.  Users with the same row and the
 same roles are reassigned alike, so each group keeps one assignment.  The
 miners run `reduce_rows` on their distinct-row index, where every user of
-a row holds the same roles, and `lattice_reduce` on the index keyed by
-assigned role set; all hand the groups' roles to one builder, `rebuild`.
+a row holds the same roles; `lattice_reduce` runs it on an index built
+from the `row_groups` of the assigned role sets.  All hand the groups'
+roles to one builder, `rebuild`.
 
 Roles come in as masks and stay masks; the pass decodes each role's
-permission tuple only as the tie-break key of its order.  A role's fitting
+permission tuple only for its place in the cover order, the removal order
+(`_rowindex.cover_key`).  A role's fitting
 rows are `RowIndex.containing` its mask (rolemine._rowindex describes the
 index); each row keeps its fitting roles in removal order.  A role's
 holders are not stored a second time: they are its fitting rows that hold
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._rowindex import RowIndex, held_positions, rebuild
+from ._rowindex import RowIndex, cover_key, held_positions, rebuild, row_groups
 from .model import (
     AccessMatrix,
     ConstraintViolationError,
@@ -58,9 +60,7 @@ def reduce_rows(masks: Sequence[int], index: RowIndex, held: list[set[int]]) -> 
     set of roles group g holds and is updated in place; every role held
     must fit its group.
     """
-    order = sorted(
-        range(len(masks)), key=lambda i: (-masks[i].bit_count(), perm_tuple(masks[i]))
-    )
+    order = sorted(range(len(masks)), key=lambda i: cover_key(perm_tuple(masks[i])))
     fit_rows: list[tuple[int, ...]] = [()] * len(masks)
     fits: list[list[int]] = [[] for _ in held]
     for i in order:
@@ -122,7 +122,7 @@ def lattice_reduce(upa: AccessMatrix, d: Decomposition, k: int) -> Decomposition
         raise ConstraintViolationError(
             f"input decomposition violates the constraint k={k}"
         )
-    index = RowIndex(upa, d.ua)
+    index = RowIndex(row_groups(upa, d.ua), upa.n_perms)
     ids = [r.id for r in d.roles]
     held = held_positions(d.ua, ids, index.users)
     reduce_rows([mask_of(r.perms) for r in d.roles], index, held)

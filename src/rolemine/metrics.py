@@ -21,7 +21,7 @@ byte-for-byte (the timing field excepted, being wall-clock).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,23 +34,11 @@ from .model import (
     is_complete,
 )
 
-JSON_FIELDS = (
-    "r_count",
-    "ua_size",
-    "pa_size",
-    "wsc",
-    "accuracy",
-    "distance",
-    "elapsed_ms",
-    "algorithm",
-    "k",
-    "dataset",
-    "seed",
-)
-
-
 @dataclass(frozen=True)
 class MetricsReport:
+    """One scored decomposition and the labels of its run; the field order
+    is the key order of the JSON report."""
+
     r_count: int
     ua_size: int
     pa_size: int
@@ -64,10 +52,10 @@ class MetricsReport:
     seed: int = 0
 
     def to_json_dict(self) -> dict:
-        """Field order follows JSON_FIELDS; exact rationals become canonical
-        fraction strings ("6", "1/2") so no precision is lost in transit."""
-        fields = ((f, getattr(self, f)) for f in JSON_FIELDS)
-        return {f: str(v) if isinstance(v, Fraction) else v for f, v in fields}
+        """Keys in field order; exact rationals become canonical fraction
+        strings ("6", "1/2") so no precision is lost in transit."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {f: str(v) if isinstance(v, Fraction) else v for f, v in values}
 
 
 class UndefinedMetricError(RoleMiningError, ValueError):
@@ -85,6 +73,7 @@ def role_lower_bound(upa: AccessMatrix, k: int) -> int:
 
 
 def jaccard(a: frozenset[int], b: frozenset[int]) -> Fraction:
+    """|a & b| / |a | b| as an exact rational; 1 for two empty sets."""
     union = len(a | b)
     if union == 0:
         return Fraction(1)

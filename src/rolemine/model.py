@@ -109,9 +109,9 @@ class AccessMatrix:
     @cached_property
     def _row_index(self):
         # Imported here: _rowindex imports this module.
-        from ._rowindex import RowIndex
+        from ._rowindex import RowIndex, row_groups
 
-        return RowIndex(self)
+        return RowIndex(row_groups(self), self.n_perms)
 
     def row(self, user: int) -> frozenset[int]:
         return frozenset(perm_tuple(self.masks[user]))

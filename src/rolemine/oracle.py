@@ -13,6 +13,7 @@ heuristics on small instances, not to solve real ones.
 
 from __future__ import annotations
 
+from ._rowindex import cover_key
 from .datasets import witness_assignment
 from .metrics import role_lower_bound
 from .model import AccessMatrix, Decomposition, RoleMiningError, perm_tuple
@@ -42,11 +43,11 @@ def optimal_role_count(upa: AccessMatrix, k: int) -> tuple[int, Decomposition]:
             f"{len(rows)} distinct rows exceed the oracle guard of {MAX_DISTINCT_ROWS}"
         )
 
-    # Larger candidates first so the DFS covers rows quickly.
+    # Larger candidates first, in cover order, so the DFS covers rows quickly.
     fits_in_row = [
         sorted(
             (c for c in range(1, row + 1) if c & ~row == 0 and c.bit_count() <= k),
-            key=lambda m: (-m.bit_count(), perm_tuple(m)),
+            key=lambda m: cover_key(perm_tuple(m)),
         )
         for row in rows
     ]

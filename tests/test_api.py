@@ -1,16 +1,28 @@
-"""The package surface: exported names resolve, no module or test file
-carries an import it never uses (a deleted helper must not leave one
-behind), no module-level function or class is dead: each is exported
-or named somewhere else in the package, no function defined inside a
-function is dead: the enclosing function names it outside the inner
-definition, no function of the package takes a parameter its body never
-reads, and no slot of a class is filled without being read."""
+"""The package surface: exported names resolve, every exported function
+and class has a docstring of its own, no module or test file carries an
+import it never uses (a deleted helper must not leave one behind), no
+module-level function or class is dead: each is exported or named
+somewhere else in the package, no function defined inside a function is
+dead: the enclosing function names it outside the inner definition, no
+function of the package takes a parameter its body never reads, and no
+slot of a class is filled without being read.
+
+Run as a script, ``python tests/test_api.py [DIR]`` prints the code lines
+(non-blank lines outside docstrings and comments) of each module of the
+package, or of the ``*.py`` files in DIR, and their total.
+"""
 
 import ast
+import io
+import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+if __name__ == "__main__":  # the package of this checkout, without PYTHONPATH
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import rolemine
 
@@ -24,6 +36,37 @@ def test_every_exported_name_resolves():
     assert len(rolemine.__all__) == len(set(rolemine.__all__))
     for name in rolemine.__all__:
         assert hasattr(rolemine, name), name
+
+
+def _undocumented(sources: list[str], names: set[str]) -> set[str]:
+    """The names in `names` that no module-level function or class of the
+    sources defines with a docstring of its own."""
+    documented = {
+        node.name
+        for source in sources
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and ast.get_docstring(node) is not None
+    }
+    return names - documented
+
+
+def test_every_exported_definition_has_a_docstring():
+    sources = [p.read_text(encoding="utf-8") for p in MODULES]
+    assert _undocumented(sources, set(rolemine.__all__)) == set()
+
+
+def test_undocumented_definition_is_found():
+    # A dataclass gets a generated __doc__, so only the source can tell.
+    source = (
+        'def told():\n    """Says what it does."""\n\n'
+        "def quiet():\n    return 1\n\n"
+        "@dataclass\nclass Plain:\n    size: int\n\n"
+        'class Told:\n    """A class."""\n\n'
+        "    def method(self):\n        return 2\n"
+    )
+    names = {"told", "quiet", "Plain", "Told", "method", "missing"}
+    assert _undocumented([source], names) == {"quiet", "Plain", "method", "missing"}
 
 
 def _imported_and_used(source: str) -> tuple[set[str], set[str]]:
@@ -198,3 +241,52 @@ def test_unread_slot_is_found():
     )
     second = "def width(index):\n    return len(index.columns)\n"
     assert _unread_slots([first, second]) == {"Index.counts", "Index.freq"}
+
+
+def code_lines(source: str) -> int:
+    """Non-blank lines outside docstrings and comments: the lines a token
+    other than a comment spans, less the module, class and function
+    docstrings, counting no blank line inside a multi-line string."""
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in layout:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                doc = node.body[0]
+                lines -= set(range(doc.lineno, doc.end_lineno + 1))
+    text = source.splitlines()
+    return sum(1 for n in lines if text[n - 1].strip())
+
+
+def test_code_lines_counts_code_alone():
+    source = (
+        '"""Module\n\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "x = 1  # a trailing comment\n"  # 1
+        "def f(a,\n"  # 2
+        "      b):\n"  # 3
+        "    '''Docstring.'''\n"
+        "    # another comment\n"
+        '    s = """text\n'  # 4
+        "\n"
+        'more"""\n'  # 5
+        "    return s\n"  # 6
+        "class K:\n"  # 7
+        '    """Class\n    docstring."""\n'
+        '    label = "not a docstring"\n'  # 8
+    )
+    assert code_lines(source) == 8
+
+
+if __name__ == "__main__":
+    paths = sorted(Path(sys.argv[1]).glob("*.py")) if sys.argv[1:] else SOURCES
+    counts = {p.name: code_lines(p.read_text(encoding="utf-8")) for p in paths}
+    for name, count in counts.items():
+        print(f"{name:24} {count:5}")
+    print(f"{'total':24} {sum(counts.values()):5}")

@@ -123,6 +123,32 @@ def test_mine_rejects_k_zero(tmp_path, sparse_file):
     assert "k must be >= 1" in proc.stderr
 
 
+_SEED_RULE = "seed must be a 64-bit unsigned integer"
+
+
+@pytest.mark.parametrize("command, message", [
+    (["mine", "--algo", "crm", "--k", "2", "--seed", "-1", "--metrics", "m"],
+     _SEED_RULE),
+    (["mine", "--algo", "crm", "--k", "2", "--seed", str(1 << 64), "--metrics", "m"],
+     _SEED_RULE),
+    (["compare", "--k-list", "2", "--seed", "-1"], _SEED_RULE),
+    (["compare", "--k-list", "2,0"], "k must be >= 1"),
+    (["compare", "--k-list", " , "], "--k-list: no k given"),
+    (["compare", "--k-list", "2", "--jobs", "0"], "jobs must be >= 1"),
+    (["oracle", "--k", "0"], "k must be >= 1"),
+])
+def test_usage_errors_come_before_the_input_is_read(tmp_path, command, message):
+    # The input does not exist: reading it would exit 1.
+    out = tmp_path / "o"
+    args = [*command, "--input", str(tmp_path / "missing.txt")]
+    if command[0] != "oracle":
+        args += ["--output" if command[0] == "mine" else "--out", str(out)]
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("metrics", ["roles.txt", "./roles.txt", "roles.txt.names.json"])
 def test_mine_rejects_clashing_output_paths(tmp_path, metrics):
     # Checked before the input is read: a missing input would exit 1.
@@ -463,10 +489,9 @@ def test_compare_builds_the_row_index_once_per_matrix(tmp_path, monkeypatch):
     built = []
     build = _rowindex.RowIndex.__init__
 
-    def counting(self, upa, keys=None):
-        if keys is None:
-            built.append(upa)
-        build(self, upa, keys)
+    def counting(self, groups, n_perms):
+        built.append(n_perms)
+        build(self, groups, n_perms)
 
     monkeypatch.setattr(_rowindex.RowIndex, "__init__", counting)
     sink = io.StringIO()

@@ -19,7 +19,7 @@ from rolemine import (
     satisfies_constraint,
     serialize_decomposition,
 )
-from rolemine._rowindex import RowIndex, candidate_order
+from rolemine._rowindex import RowIndex, candidate_order, row_groups
 from rolemine.constrained import Candidate, CandidatePool, _eliminate, _split
 from rolemine.model import mask_of, perm_tuple
 from rolemine.rng import SplitMix64
@@ -89,7 +89,7 @@ def test_candidates_match_a_plain_grouping_and_leave_the_index_as_built():
     instances += [synthetic_instance(meta)[0] for _ in range(20)]
     for upa in instances:
         assert initial_candidates(upa) == _reference_candidates(upa)
-        cached, fresh = upa._row_index, RowIndex(upa)
+        cached, fresh = upa._row_index, RowIndex(row_groups(upa), upa.n_perms)
         assert all(getattr(cached, name) == getattr(fresh, name)
                    for name in RowIndex.__slots__)
 
@@ -309,7 +309,8 @@ def test_eliminate_stand_ins_go_through_removed_cover_members():
     # {0,1,2}'s walk takes {0,1} and {2}; {0,1} is removed as well, so its
     # stand-ins {0} and {1} replace it in those of {0,1,2}.
     upa = AccessMatrix.from_rows([{0}, {1}, {2}, {0, 1}, {0, 1, 2}])
-    assert _eliminate(RowIndex(upa)) == [{2, 3, 4}, {2, 3}, {2}, {3}, {4}]
+    index = RowIndex(row_groups(upa), upa.n_perms)
+    assert _eliminate(index) == [{2, 3, 4}, {2, 3}, {2}, {3}, {4}]
 
 
 def test_eliminate_matches_reference_on_candidate_catalogs():
@@ -320,7 +321,7 @@ def test_eliminate_matches_reference_on_candidate_catalogs():
     for _ in range(40):
         upa, _, _ = synthetic_instance(meta, min_users=5, max_users=80,
                                        min_perms=4, max_perms=30)
-        index = RowIndex(upa)
+        index = RowIndex(row_groups(upa), upa.n_perms)
         ref = _reference_eliminate_union_roles(*_candidate_catalog(upa), upa)
         cid = {i: rank for rank, i in
                enumerate(candidate_order(index.masks, index.users))}

@@ -20,7 +20,7 @@ from rolemine import (
     singleton_decomposition,
     witness_assignment,
 )
-from rolemine._rowindex import RowIndex, held_positions
+from rolemine._rowindex import RowIndex, held_positions, row_groups
 from rolemine.lattice import reduce_rows
 from rolemine.model import mask_of, perm_tuple
 from rolemine.rng import SplitMix64
@@ -282,7 +282,7 @@ def _reference_reduce_rows(masks, index, held):
 def _sweeps_agree(upa, d):
     """Run both sweeps on the groups of `d`, check that their held sets
     agree and return them."""
-    index = RowIndex(upa, d.ua)
+    index = RowIndex(row_groups(upa, d.ua), upa.n_perms)
     masks = [mask_of(r.perms) for r in d.roles]
     held = held_positions(d.ua, [r.id for r in d.roles], index.users)
     expected = [set(roles) for roles in held]
@@ -318,7 +318,8 @@ def test_role_kept_by_its_second_holder_leaves_first_holder_alone():
         [{0, 1}, {0, 2}, {1, 3}, {2, 3}], [{0, 3}, {0}, {1}, {2}, {3}]
     )
     held = _sweeps_agree(upa, d)
-    assert held == held_positions(d.ua, [0, 1, 2, 3], RowIndex(upa, d.ua).users)
+    index = RowIndex(row_groups(upa, d.ua), upa.n_perms)
+    assert held == held_positions(d.ua, [0, 1, 2, 3], index.users)
     assert lattice_reduce(upa, d, 2) == d
 
 

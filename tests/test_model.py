@@ -167,7 +167,7 @@ def test_distinct_rows_all_distinct():
     upa = AccessMatrix.from_rows([{1}, {0}, {0, 2}, {0, 1}])
     assert row_groups(upa) == [(0b010, [0]), (0b001, [1]), (0b101, [2]), (0b011, [3])]
     # size descending, then permission tuple
-    index = RowIndex(upa)
+    index = RowIndex(row_groups(upa), upa.n_perms)
     assert [perm_tuple(m) for m in index.masks] == [(0, 1), (0, 2), (0,), (1,)]
     assert index.users == ((3,), (2,), (1,), (0,))
 
@@ -188,7 +188,7 @@ def test_distinct_rows_partitions_users(rows):
         assert all(upa.masks[u] == mask for u in users)
     firsts = [users[0] for _, users in groups]
     assert firsts == sorted(firsts)
-    index = RowIndex(upa)
+    index = RowIndex(row_groups(upa), upa.n_perms)
     assert sorted(zip(index.masks, index.users)) == sorted(
         (m, tuple(users)) for m, users in groups
     )
@@ -201,7 +201,7 @@ def test_distinct_rows_keyed_by_role_set_splits_a_row():
     upa = AccessMatrix.from_rows([{0, 1}, {2}, {0, 1}, {0, 1}])
     ua = [frozenset({5}), frozenset({7}), frozenset({3, 4}), frozenset({5})]
     assert row_groups(upa, ua) == [(0b011, [0, 3]), (0b100, [1]), (0b011, [2])]
-    index = RowIndex(upa, ua)
+    index = RowIndex(row_groups(upa, ua), upa.n_perms)
     assert index.masks == (0b011, 0b011, 0b100)
     assert index.users == ((0, 3), (2,), (1,))
 
@@ -230,7 +230,7 @@ def test_distinct_rows_keyed_groups_share_one_row(drawn):
     firsts = [users[0] for _, users in groups]
     assert firsts == sorted(firsts)
     # The index sorts by row alone: groups of one row keep first-user order.
-    index = RowIndex(upa, keys)
+    index = RowIndex(row_groups(upa, keys), upa.n_perms)
     order = [(-m.bit_count(), perm_tuple(m), users[0])
              for m, users in zip(index.masks, index.users)]
     assert order == sorted(order)
@@ -243,7 +243,7 @@ def test_distinct_rows_keyed_groups_share_one_row(drawn):
     st.sets(st.integers(0, 7), min_size=1),
 )
 def test_row_index_containing_names_the_rows_holding_a_set(rows, wanted):
-    index = RowIndex(AccessMatrix.from_rows(rows, n_perms=8))
+    index = RowIndex(row_groups(AccessMatrix.from_rows(rows, n_perms=8)), 8)
     s = mask_of(wanted)
     holding = [i for i, m in enumerate(index.masks) if s & ~m == 0]
     assert index.containing(s) == mask_of(holding)
@@ -272,7 +272,7 @@ def test_row_index_columns_and_freq_match_the_rows(drawn, keyed):
     # 11 are held by no row.  Keyed groups repeat rows.
     upa = AccessMatrix.from_rows([row for row, _ in drawn], n_perms=12)
     keys = [(m, c) for m, (_, c) in zip(upa.masks, drawn)] if keyed else None
-    index = RowIndex(upa, keys)
+    index = RowIndex(row_groups(upa, keys), upa.n_perms)
     assert len(index.columns) == len(index.freq) == upa.n_perms
     for p in range(upa.n_perms):
         holding = [i for i, m in enumerate(index.masks) if m >> p & 1]
@@ -308,7 +308,7 @@ def test_mining_leaves_the_cached_index_as_built():
         cached = upa._row_index
         # Each row once, as its mask: no permission tuple outlives the build.
         assert RowIndex.__slots__ == ("masks", "users", "columns", "freq")
-        assert _fields(cached) == _fields(RowIndex(upa))
+        assert _fields(cached) == _fields(RowIndex(row_groups(upa), upa.n_perms))
         # Tuples all through: no consumer can change the index in place.
         for name, value in _fields(cached).items():
             assert type(value) is tuple, name
