@@ -26,30 +26,28 @@ too: no consumer can change a shared index, and once a collection has run
 the garbage collector tracks the index object alone.
 
 `row_groups` is the one place users are grouped; it only groups, and the
-index sorts its groups.  The miners group by row.  `lattice_reduce` takes
+index sorts its groups.  The miners group by row.  The public stages take
 a complete decomposition, whose users of one row may hold different roles,
-groups by the assigned role set, which fixes the row, and indexes those
-groups per call.  `eliminate_union_roles` groups users the same way and
-indexes its catalog from `(mask, (position,))` pairs, one row per role.
-Every stage's result comes from one builder, `rebuild`, given the role set
-of each group; the miners reach it through `mined`, which builds a `Role`
-only for each mask still held, with its position as its id.
+and group by the assigned role set, which fixes the row; `lattice_reduce`
+indexes those groups per call, and `eliminate_union_roles` indexes its
+catalog from `(mask, (position,))` pairs, one row per role.
+
+Every stage's result comes from one builder, `rebuild`, given the roles
+still held and the role ids of each group.  The miners reach it through
+`mined`, which builds a `Role` only for each mask still held, with its
+position as its id.  The public stages reach it through `staged`, the one
+adapter that runs a stage core on any complete decomposition: it numbers
+the roles in cover order, so a catalog index built from their masks keeps
+each role at its position, hands the core the masks, those the stage's
+completeness check (`complete_masks`) built, and each group's positions,
+and maps the positions back to role ids once.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .model import AccessMatrix, Decomposition, Role, perm_tuple
-
-
-def held_positions(
-    ua: Sequence[Iterable[int]], ids: Sequence[int], users: Iterable[Sequence[int]]
-) -> list[set[int]]:
-    """Per group of `users`, the positions of the roles its users hold in
-    `ua`, where ``ids[i]`` is the id of position i."""
-    position = {rid: i for i, rid in enumerate(ids)}
-    return [{position[rid] for rid in ua[group[0]]} for group in users]
 
 
 def rebuild(
@@ -58,18 +56,15 @@ def rebuild(
     users: Iterable[Sequence[int]],
     n_users: int,
 ) -> Decomposition:
-    """The decomposition after a stage: ``held[g]`` holds the role ids of
-    the group whose users are ``users[g]``, and a user in no group gets no
-    roles.  A stage hands a dropped role's groups other roles and never
-    takes a kept role from its last group, so the roles still held are the
-    ones kept; they stay in `roles` order."""
+    """The decomposition after a stage: `roles` are the roles still held,
+    ``held[g]`` holds the role ids of the group whose users are
+    ``users[g]``, and a user in no group gets no roles."""
     ua: list[frozenset[int]] = [frozenset()] * n_users
     for group, ids in zip(users, held):
         shared = frozenset(ids)
         for u in group:
             ua[u] = shared
-    live = set().union(*held)
-    return Decomposition(roles=tuple(r for r in roles if r.id in live), ua=tuple(ua))
+    return Decomposition(roles=tuple(roles), ua=tuple(ua))
 
 
 def mined(
@@ -81,6 +76,33 @@ def mined(
     live = set().union(*held)
     roles = [Role(i, frozenset(perm_tuple(masks[i]))) for i in sorted(live)]
     return rebuild(roles, held, upa._row_index.users, upa.n_users)
+
+
+def staged(
+    upa: AccessMatrix,
+    d: Decomposition,
+    masks: dict[int, int],
+    users: Sequence[Sequence[int]],
+    core: Callable[[list[int], list[set[int]]], None],
+) -> Decomposition:
+    """A public stage's result: `core` run on the complete decomposition `d`,
+    whose role masks by id are `masks`, as `complete_masks` returns them.
+
+    ``users[g]`` is a group of users holding one role set in `d`.  Position
+    i numbers `d`'s roles in cover order (`cover_key`);
+    ``core(ordered, held)`` gets the masks in position order and updates
+    ``held[g]``, the positions group g holds, in place.  A stage hands a
+    dropped role's groups other roles and never takes a kept role from its
+    last group, so the roles still held are the ones kept; they stay in
+    `d`'s order.
+    """
+    order = sorted(d.roles, key=lambda r: cover_key(sorted(r.perms)))
+    position = {r.id: i for i, r in enumerate(order)}
+    held = [{position[rid] for rid in d.ua[group[0]]} for group in users]
+    core([masks[r.id] for r in order], held)
+    assigned = [{order[i].id for i in roles} for roles in held]
+    live = set().union(*assigned)
+    return rebuild([r for r in d.roles if r.id in live], assigned, users, upa.n_users)
 
 
 def row_groups(
@@ -101,9 +123,10 @@ def row_groups(
     return list(groups.values())
 
 
-def cover_key(perms: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """The cover order's sort key of a role or row, given as its permission
-    tuple: size descending, then the tuple."""
+def cover_key(perms: Sequence[int]) -> tuple[int, Sequence[int]]:
+    """The cover order's sort key of a role or row, given as its ascending
+    permissions (a tuple, or a list where every key of a sort is one):
+    size descending, then the permissions."""
     return -len(perms), perms
 
 

@@ -49,10 +49,14 @@ the pool is sorted by the cover key of each mask's decoded tuple.
 
 The public stages run the same cores on their arguments.
 `initial_candidates` reads the matrix's index and decodes each candidate's
-permission set.  `eliminate_union_roles` indexes its catalog from
-`(mask, (position,))` pairs, one row per role, and takes its user groups
-from `row_groups` alone, by the roles they hold, with no decode and no
-sort.
+permission set.  `eliminate_union_roles` is its completeness check
+(`complete_masks`, which keeps the role masks it builds) and one call of
+the public stages' adapter (`_rowindex.staged`), which numbers the roles
+in cover order.  Its core indexes the catalog from
+`(mask, (position,))` pairs, one row per role, so each role keeps its
+position, and gives each group the union of its roles' stand-ins.  The
+groups come from `row_groups` alone, by the roles they hold, with no
+decode, no sort and no index.
 """
 
 from __future__ import annotations
@@ -61,15 +65,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
-from ._rowindex import (
-    RowIndex,
-    candidate_order,
-    cover_key,
-    held_positions,
-    mined,
-    rebuild,
-    row_groups,
-)
+from ._rowindex import RowIndex, candidate_order, cover_key, mined, row_groups, staged
 from .lattice import reduce_rows
 from .model import (
     AccessMatrix,
@@ -77,7 +73,7 @@ from .model import (
     IncompleteDecompositionError,
     MiningConfig,
     Role,
-    is_complete,
+    complete_masks,
     mask_of,
     perm_tuple,
 )
@@ -159,32 +155,31 @@ def eliminate_union_roles(
     are all smaller, so the outcome never depends on the order of removal.
 
     The roles inside each role come from a row index (rolemine._rowindex)
-    built from one `(mask, (position,))` pair per role, in cover order: a
-    role's strict supersets are larger, so they are the roles before it
-    that are `RowIndex.containing` its mask.  Inverted, this gives each role
-    its subsets as an ascending position list, largest first with ties by
-    permission tuple, so the cover is the one a sort of the contained roles
-    would give.  A group of users with the same roles takes their stand-ins.
+    built from one `(mask, (position,))` pair per role, positions in cover
+    order as `_rowindex.staged` numbers them: a role's strict supersets are
+    larger, so they are the roles before it that are `RowIndex.containing`
+    its mask.  Inverted, this gives each role its subsets as an ascending
+    position list, largest first with ties by permission tuple, so the cover
+    is the one a sort of the contained roles would give.  A group of users
+    with the same roles takes the union of their stand-ins.
     """
-    d_in = Decomposition(roles=tuple(roles), ua=tuple(frozenset(s) for s in ua))
-    if not is_complete(upa, d_in):
+    d = Decomposition(roles=tuple(roles), ua=tuple(frozenset(s) for s in ua))
+    masks = complete_masks(upa, d)
+    if masks is None:
         raise IncompleteDecompositionError(
             "eliminate_union_roles requires a complete decomposition"
         )
-    # One row per role: the index holds the roles in cover order with their
-    # columns, and a row's one user is the role's catalog position.
-    catalog = RowIndex(
-        [(mask_of(r.perms), (pos,)) for pos, r in enumerate(d_in.roles)], upa.n_perms
-    )
-    ids = [d_in.roles[pos].id for (pos,) in catalog.users]
-    # Group order cannot change the result: `rebuild` writes each user's set.
-    groups = [users for _, users in row_groups(upa, d_in.ua)]
-    stand_ins = _eliminate(catalog)
-    assigned = [
-        {ids[s] for i in roles for s in stand_ins[i]}
-        for roles in held_positions(d_in.ua, ids, groups)
-    ]
-    return rebuild(d_in.roles, assigned, groups, upa.n_users)
+
+    def core(ordered: list[int], held: list[set[int]]) -> None:
+        # One row per role, whose one user is its position: the masks come
+        # in cover order, so the index keeps each role at its position.
+        stand_ins = _eliminate(
+            RowIndex([(m, (i,)) for i, m in enumerate(ordered)], upa.n_perms)
+        )
+        held[:] = [{s for i in roles for s in stand_ins[i]} for roles in held]
+
+    # Group order cannot change the result: each user's set is written.
+    return staged(upa, d, masks, [users for _, users in row_groups(upa, d.ua)], core)
 
 
 def _split(

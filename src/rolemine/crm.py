@@ -54,10 +54,13 @@ re-truncating every round.
 Roles are kept as masks, and a `Role` is built only for each one still
 held at the end; assignments are kept per row.  With the lattice on, a
 per-row check that each row's roles union to its mask comes first.  Then
-one lattice sweep (`lattice.reduce_rows`) runs over the index, which
-equals `lattice_reduce` on the raw output, and the result function shared
-with the constrained miner (`_rowindex.mined`) builds the held roles and
-expands the rows to users once.
+one lattice sweep (`lattice.reduce_rows`) runs over the index.  It
+equals `lattice_reduce` on the raw output, which runs the same sweep on
+the raw output's role-set groups through the public stages' adapter
+(`_rowindex.staged`).  The result function shared with the constrained
+miner (`_rowindex.mined`) finds the held roles once, builds them and
+expands the rows to users once through `_rowindex.rebuild`, the builder
+the adapter ends in too.
 """
 
 from __future__ import annotations

@@ -11,9 +11,12 @@ completeness and the cardinality bound are preserved by construction.
 The pass runs on row groups, not users.  Users with the same row and the
 same roles are reassigned alike, so each group keeps one assignment.  The
 miners run `reduce_rows` on their distinct-row index, where every user of
-a row holds the same roles; `lattice_reduce` runs it on an index built
-from the `row_groups` of the assigned role sets.  All hand the groups'
-roles to one builder, `rebuild`.
+a row holds the same roles, and build their result through
+`_rowindex.mined`.  `lattice_reduce` is its three checks and one call of
+the public stages' adapter, `_rowindex.staged`, with `reduce_rows` over an
+index built from the `row_groups` of the assigned role sets as its core;
+the adapter takes the role masks the completeness check
+(`complete_masks`) built.  Both reach one builder, `rebuild`.
 
 Roles come in as masks and stay masks; the pass decodes each role's
 permission tuple only for its place in the cover order, the removal order
@@ -40,14 +43,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._rowindex import RowIndex, cover_key, held_positions, rebuild, row_groups
+from ._rowindex import RowIndex, cover_key, row_groups, staged
 from .model import (
     AccessMatrix,
     ConstraintViolationError,
     Decomposition,
     IncompleteDecompositionError,
-    is_complete,
-    mask_of,
+    complete_masks,
     perm_tuple,
     satisfies_constraint,
 )
@@ -114,7 +116,8 @@ def lattice_reduce(upa: AccessMatrix, d: Decomposition, k: int) -> Decomposition
     pass is idempotent."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not is_complete(upa, d):
+    masks = complete_masks(upa, d)
+    if masks is None:
         raise IncompleteDecompositionError(
             "lattice_reduce requires a complete decomposition"
         )
@@ -123,8 +126,7 @@ def lattice_reduce(upa: AccessMatrix, d: Decomposition, k: int) -> Decomposition
             f"input decomposition violates the constraint k={k}"
         )
     index = RowIndex(row_groups(upa, d.ua), upa.n_perms)
-    ids = [r.id for r in d.roles]
-    held = held_positions(d.ua, ids, index.users)
-    reduce_rows([mask_of(r.perms) for r in d.roles], index, held)
-    assigned = [{ids[i] for i in roles} for roles in held]
-    return rebuild(d.roles, assigned, index.users, upa.n_users)
+    return staged(
+        upa, d, masks, index.users,
+        lambda ordered, held: reduce_rows(ordered, index, held),
+    )

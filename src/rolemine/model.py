@@ -254,6 +254,12 @@ def is_complete(upa: AccessMatrix, d: Decomposition) -> bool:
     Raises InvalidDecompositionError for structural mismatches (wrong user
     count, permissions outside the matrix) rather than returning False.
     """
+    return complete_masks(upa, d) is not None
+
+
+def complete_masks(upa: AccessMatrix, d: Decomposition) -> dict[int, int] | None:
+    """Each role's mask by id if `d` is complete, else None, with the errors
+    of `is_complete`; the public stages run on the masks the check builds."""
     if len(d.ua) != upa.n_users:
         raise InvalidDecompositionError(
             f"assignment covers {len(d.ua)} users, matrix has {upa.n_users}"
@@ -271,8 +277,8 @@ def is_complete(upa: AccessMatrix, d: Decomposition) -> bool:
         for rid in d.ua[u]:
             union |= masks[rid]
         if union != upa.masks[u]:
-            return False
-    return True
+            return None
+    return masks
 
 
 def satisfies_constraint(d: Decomposition, k: int) -> bool:

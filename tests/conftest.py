@@ -6,6 +6,8 @@ the literal seeds below; there is no platform RNG anywhere.
 
 from __future__ import annotations
 
+from math import lcm
+
 import pytest
 from hypothesis import strategies as st
 
@@ -21,6 +23,7 @@ from rolemine import (
     singleton_decomposition,
     witness_assignment,
 )
+from rolemine.model import mask_of
 from rolemine.rng import SplitMix64
 
 
@@ -40,6 +43,57 @@ def synthetic_instance(meta: SplitMix64, *, min_users=10, max_users=200,
     max_row = upa.max_row_size()
     k = meta.randint(1, max_row) if max_row else 1
     return upa, truth, k
+
+
+def skewed_instance(meta: SplitMix64, *, min_users=10, max_users=200,
+                    min_perms=10, max_perms=100):
+    """One seeded instance of a second, skewed shape plus a k drawn in
+    [1, max row], with the sizes `synthetic_instance` takes.
+
+    Truth roles are drawn as `generate` draws them: 1 to 20 roles, each a
+    uniform subset of 1 to at most 12 permissions, duplicates dropped; a
+    role's rank is its place in draw order.  Role popularity is skewed:
+    each user takes 1 to 4 distinct roles (at most the number of roles),
+    each drawn from those it does not hold yet with probability
+    proportional to 1/(rank+1), so role 0 is the most popular, as under a
+    Zipf law.  A user's row is the union of its roles' masks.
+    """
+    n_perms = meta.randint(min_perms, max_perms)
+    n_users = meta.randint(min_users, max_users)
+    n_roles = meta.randint(1, 20)
+    max_size = meta.randint(1, min(12, n_perms))
+    drawn = [frozenset(meta.sample(n_perms, meta.randint(1, max_size)))
+             for _ in range(n_roles)]
+    truth = tuple(dict.fromkeys(drawn))
+    role_masks = [mask_of(r) for r in truth]
+    # Integer weights exactly proportional to 1/(rank+1).
+    scale = lcm(*range(1, len(truth) + 1))
+    masks = []
+    for _ in range(n_users):
+        weights = {rank: scale // (rank + 1) for rank in range(len(truth))}
+        row = 0
+        for _ in range(meta.randint(1, min(4, len(truth)))):
+            ticket = meta.below(sum(weights.values()))
+            for rank, w in weights.items():
+                if ticket < w:
+                    break
+                ticket -= w
+            row |= role_masks[rank]
+            del weights[rank]
+        masks.append(row)
+    upa = AccessMatrix(n_users=n_users, n_perms=n_perms, masks=tuple(masks))
+    k = meta.randint(1, upa.max_row_size())
+    return upa, truth, k
+
+
+def shape_draws(seed: int, count: int, **sizes):
+    """`count` instances of each generator shape, uniform then skewed, with
+    their truth and k: each shape draws from its own SplitMix64(seed), so
+    the uniform draws are those `synthetic_instance` alone gives."""
+    for shape in (synthetic_instance, skewed_instance):
+        meta = SplitMix64(seed)
+        for _ in range(count):
+            yield shape(meta, **sizes)
 
 
 def guard_instance() -> AccessMatrix:

@@ -14,17 +14,26 @@ from rolemine import (
     eliminate_union_roles,
     initial_candidates,
     is_complete,
+    lattice_reduce,
     mine_constrained,
+    mine_crm,
     optimal_role_count,
     satisfies_constraint,
     serialize_decomposition,
+    singleton_decomposition,
 )
 from rolemine._rowindex import RowIndex, candidate_order, row_groups
 from rolemine.constrained import Candidate, CandidatePool, _eliminate, _split
 from rolemine.model import mask_of, perm_tuple
 from rolemine.rng import SplitMix64
 
-from conftest import guard_instance, mixed_instances, synthetic_instance
+from conftest import (
+    guard_instance,
+    mixed_decomposition,
+    mixed_instances,
+    shape_draws,
+    synthetic_instance,
+)
 
 
 def brute_force_union_cover(target: frozenset, others: list[frozenset]) -> bool:
@@ -158,10 +167,8 @@ def _candidate_catalog(upa):
 
 
 def test_union_elimination_is_idempotent():
-    meta = SplitMix64(2024)
-    for _ in range(25):
-        upa, _, _ = synthetic_instance(meta, min_users=5, max_users=30,
-                                       min_perms=4, max_perms=12)
+    for upa, _, _ in shape_draws(2024, 25, min_users=5, max_users=30,
+                                 min_perms=4, max_perms=12):
         roles, ua = _candidate_catalog(upa)
         if not roles:
             continue
@@ -316,11 +323,9 @@ def test_eliminate_stand_ins_go_through_removed_cover_members():
 def test_eliminate_matches_reference_on_candidate_catalogs():
     # The miner's path: one role per index row, and a row's users hold the
     # candidate ids of its stand-ins.
-    meta = SplitMix64(3131)
     removed = 0
-    for _ in range(40):
-        upa, _, _ = synthetic_instance(meta, min_users=5, max_users=80,
-                                       min_perms=4, max_perms=30)
+    for upa, _, _ in shape_draws(3131, 40, min_users=5, max_users=80,
+                                 min_perms=4, max_perms=30):
         index = RowIndex(row_groups(upa), upa.n_perms)
         ref = _reference_eliminate_union_roles(*_candidate_catalog(upa), upa)
         cid = {i: rank for rank, i in
@@ -330,6 +335,48 @@ def test_eliminate_matches_reference_on_candidate_catalogs():
             for u in index.users[i]:
                 assert {cid[j] for j in stand_ins} == ref.ua[u]
     assert removed > 0
+
+
+def _public_stage_outputs(upa, k):
+    """Both public stages on one instance: union elimination on the
+    candidate catalog, then `lattice_reduce` on each miner's raw output,
+    and both stages on a mix of the singleton decomposition and those two,
+    where users of one row hold different role sets."""
+    cfg = MiningConfig(max_perms_per_role=k)
+    yield eliminate_union_roles(*_candidate_catalog(upa), upa)
+    raws = [miner(upa, cfg, lattice=False) for miner in (mine_constrained, mine_crm)]
+    for d in raws:
+        yield lattice_reduce(upa, d, k)
+    mixed = mixed_decomposition(upa, (singleton_decomposition(upa), *raws),
+                                [u % 3 for u in range(upa.n_users)])
+    yield eliminate_union_roles(mixed.roles, mixed.ua, upa)
+    yield lattice_reduce(upa, mixed, k)
+
+
+@pytest.mark.parametrize("k, digest", [
+    (2,
+     "fcd9bd15668fa15b00dfcdee92511e51becef155cf83eba690ef2807387ce4f2"),
+    (5,
+     "11d62922122c72d3a5ca82dcd91b9fb59a94a7739dd140a08e3c9633c62173e7"),
+    (20,
+     "07516e0ea7a9cd2d54fa9113362e95cee6a9337a659093e566ba917bf075c650"),
+    (None,
+     "342fb93d076e380ea44c5bd5e5fb5df0d68e4949d5ac503d621fa53956a0cff4"),
+], ids=["guard-k2", "guard-k5", "guard-k20", "synthetic"])
+def test_public_stage_bytes_pinned(k, digest):
+    # Guard at k, or (k None) 100 synthetic draws, each at its own k.
+    if k is None:
+        meta = SplitMix64(2121)
+        draws = (synthetic_instance(meta, min_users=5, max_users=80, min_perms=4,
+                                    max_perms=40) for _ in range(100))
+        instances = [(upa, k) for upa, _, k in draws]
+    else:
+        instances = [(guard_instance(), k)]
+    h = hashlib.sha256()
+    for upa, k in instances:
+        for d in _public_stage_outputs(upa, k):
+            h.update(serialize_decomposition(d).encode())
+    assert h.hexdigest() == digest
 
 
 # --- _split -------------------------------------------------------------------
@@ -406,10 +453,8 @@ def test_mine_empty_matrix():
 
 
 def test_mine_complete_and_constrained_on_random_instances():
-    meta = SplitMix64(808)
-    for _ in range(40):
-        upa, _, k = synthetic_instance(meta, min_users=5, max_users=60,
-                                       min_perms=5, max_perms=30)
+    for upa, _, k in shape_draws(808, 40, min_users=5, max_users=60,
+                                 min_perms=5, max_perms=30):
         cfg = MiningConfig(max_perms_per_role=k)
         d = mine_constrained(upa, cfg)
         assert is_complete(upa, d)

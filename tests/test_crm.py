@@ -22,7 +22,7 @@ from rolemine import (
 from rolemine.model import mask_of, perm_tuple
 from rolemine.rng import SplitMix64
 
-from conftest import guard_instance, synthetic_instance
+from conftest import guard_instance, shape_draws, synthetic_instance
 
 
 def test_crm_picks_most_popular_cluster_first():
@@ -76,10 +76,8 @@ def test_crm_rejects_a_greedy_result_that_leaves_a_row_uncovered(monkeypatch):
 
 
 def test_crm_complete_constrained_deterministic_on_random_instances():
-    meta = SplitMix64(606)
-    for _ in range(40):
-        upa, _, k = synthetic_instance(meta, min_users=5, max_users=60,
-                                       min_perms=5, max_perms=30)
+    for upa, _, k in shape_draws(606, 40, min_users=5, max_users=60,
+                                 min_perms=5, max_perms=30):
         cfg = MiningConfig(max_perms_per_role=k)
         d = mine_crm(upa, cfg)
         assert is_complete(upa, d)

@@ -20,16 +20,15 @@ from rolemine import (
     singleton_decomposition,
     witness_assignment,
 )
-from rolemine._rowindex import RowIndex, held_positions, row_groups
+from rolemine._rowindex import RowIndex, row_groups, staged
 from rolemine.lattice import reduce_rows
-from rolemine.model import mask_of, perm_tuple
-from rolemine.rng import SplitMix64
+from rolemine.model import complete_masks, mask_of, perm_tuple
 
 from conftest import (
     guard_instance,
     mixed_decomposition,
     mixed_instances,
-    synthetic_instance,
+    shape_draws,
 )
 
 
@@ -81,10 +80,8 @@ def test_rejects_k_below_one(k):
 
 
 def test_never_regresses_on_mined_outputs():
-    meta = SplitMix64(1717)
-    for _ in range(30):
-        upa, _, k = synthetic_instance(meta, min_users=5, max_users=50,
-                                       min_perms=5, max_perms=25)
+    for upa, _, k in shape_draws(1717, 30, min_users=5, max_users=50,
+                                 min_perms=5, max_perms=25):
         cfg = MiningConfig(max_perms_per_role=k)
         for miner in (mine_constrained, mine_crm):
             raw = miner(upa, cfg, lattice=False)
@@ -280,23 +277,25 @@ def _reference_reduce_rows(masks, index, held):
 
 
 def _sweeps_agree(upa, d):
-    """Run both sweeps on the groups of `d`, check that their held sets
-    agree and return them."""
+    """Run both sweeps on the groups of `d` through the public stages'
+    adapter, check that their held sets agree and return the held sets
+    before and after the sweep."""
     index = RowIndex(row_groups(upa, d.ua), upa.n_perms)
-    masks = [mask_of(r.perms) for r in d.roles]
-    held = held_positions(d.ua, [r.id for r in d.roles], index.users)
-    expected = [set(roles) for roles in held]
-    _reference_reduce_rows(masks, index, expected)
-    reduce_rows(masks, index, held)
+    runs = []
+    for sweep in (_reference_reduce_rows, reduce_rows):
+        def core(masks, held, sweep=sweep):
+            runs.append([set(roles) for roles in held])
+            sweep(masks, index, held)
+            runs.append(held)
+        staged(upa, d, complete_masks(upa, d), index.users, core)
+    before, expected, _, held = runs
     assert held == expected
-    return held
+    return before, held
 
 
 def test_sweep_matches_two_walk_reference_on_mined_outputs():
-    meta = SplitMix64(4242)
-    for _ in range(30):
-        upa, _, k = synthetic_instance(meta, min_users=5, max_users=80,
-                                       min_perms=5, max_perms=40)
+    for upa, _, k in shape_draws(4242, 30, min_users=5, max_users=80,
+                                 min_perms=5, max_perms=40):
         cfg = MiningConfig(max_perms_per_role=k)
         for miner in (mine_constrained, mine_crm):
             _sweeps_agree(upa, miner(upa, cfg, lattice=False))
@@ -317,9 +316,8 @@ def test_role_kept_by_its_second_holder_leaves_first_holder_alone():
     d = Decomposition.from_sets(
         [{0, 1}, {0, 2}, {1, 3}, {2, 3}], [{0, 3}, {0}, {1}, {2}, {3}]
     )
-    held = _sweeps_agree(upa, d)
-    index = RowIndex(row_groups(upa, d.ua), upa.n_perms)
-    assert held == held_positions(d.ua, [0, 1, 2, 3], index.users)
+    before, held = _sweeps_agree(upa, d)
+    assert held == before
     assert lattice_reduce(upa, d, 2) == d
 
 
