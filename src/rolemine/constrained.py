@@ -62,7 +62,6 @@ decode, no sort and no index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 from ._rowindex import RowIndex, candidate_order, cover_key, mined, row_groups, staged
@@ -233,14 +232,15 @@ def mine_constrained(
         if m.bit_count() <= k:
             pieces[i] = (_add(m),)
             continue
-        pool = [c for c, e in enumerate(cat_masks) if e & ~m == 0]
+        outside = ~m
+        pool = [c for c, e in enumerate(cat_masks) if not e & outside]
         pool.sort(key=lambda c: cover_key(perm_tuple(cat_masks[c])))
         taken, chunks = _split(m, [cat_masks[c] for c in pool], k, index.freq)
         pieces[i] = tuple(pool[j] for j in taken) + tuple(
             _add(mask_of(c)) for c in chunks
         )
 
-    roles = [set(chain.from_iterable(pieces[c] for c in cands)) for cands in held]
+    roles = [{j for c in cands for j in pieces[c]} for cands in held]
     if lattice:
         reduce_rows(cat_masks, index, roles)
     return mined(upa, cat_masks, roles)

@@ -20,6 +20,7 @@ pins the instance bytes on every platform.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -42,11 +43,16 @@ class ParseError(RoleMiningError):
         self.line_no = line_no
 
 
+# A comment runs from '#' to the end of its line; removing it keeps the
+# newline, so line numbers still count from the original text.
+_COMMENT = re.compile("#[^\n]*")
+
+
 def _logical_lines(text: str) -> list[tuple[int, str]]:
     """(line number, content) pairs with comments and blank lines dropped."""
     out = []
-    for i, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for i, raw in enumerate(_COMMENT.sub("", text).split("\n"), start=1):
+        line = raw.strip()
         if line:
             out.append((i, line))
     return out
@@ -64,27 +70,35 @@ class SparseParseResult(NamedTuple):
 def parse_sparse(text: str) -> SparseParseResult:
     """Parse "<user> <perm>" lines into a matrix plus name maps.
 
-    One pass: each pair is ORed into its user's mask as the line is read.
+    Comments are removed in one regex pass over the whole text.  Each
+    permission token maps to its bit on first appearance, and each pair is
+    ORed into its user's mask as the line is read, so a repeated pair
+    changes nothing.  A line with other than two tokens raises ParseError.
     """
     users: dict[str, int] = {}
-    perms: dict[str, int] = {}
+    bits: dict[str, int] = {}
     masks: list[int] = []
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        if len(tokens) != 2:
+    for line_no, raw in enumerate(_COMMENT.sub("", text).split("\n"), start=1):
+        try:
+            u_tok, p_tok = raw.split()
+        except ValueError:
+            count = len(raw.split())
+            if not count:
+                continue
             raise ParseError(
-                line_no, f"expected 2 tokens (user, perm), got {len(tokens)}"
-            )
-        u_tok, p_tok = tokens
+                line_no, f"expected 2 tokens (user, perm), got {count}"
+            ) from None
+        bit = bits.get(p_tok)
+        if bit is None:
+            bit = bits[p_tok] = 1 << len(bits)
         u = users.get(u_tok)
         if u is None:
-            u = users[u_tok] = len(masks)
-            masks.append(0)
-        masks[u] |= 1 << perms.setdefault(p_tok, len(perms))
-    matrix = AccessMatrix(n_users=len(users), n_perms=len(perms), masks=tuple(masks))
-    return SparseParseResult(matrix, tuple(users), tuple(perms))
+            users[u_tok] = len(masks)
+            masks.append(bit)
+        else:
+            masks[u] |= bit
+    matrix = AccessMatrix(n_users=len(users), n_perms=len(bits), masks=tuple(masks))
+    return SparseParseResult(matrix, tuple(users), tuple(bits))
 
 
 def serialize_sparse(
@@ -94,11 +108,13 @@ def serialize_sparse(
 ) -> str:
     """Canonical sparse text: users ascending, permissions ascending per user."""
     unames = list(user_names) if user_names else [f"u{i}" for i in range(upa.n_users)]
-    pnames = list(perm_names) if perm_names else [f"p{j}" for j in range(upa.n_perms)]
+    pnames = perm_names if perm_names else [f"p{j}" for j in range(upa.n_perms)]
+    tails = [f" {p}\n" for p in pnames]
+    # A user's block is its name before each " <perm>\n" tail.
     return "".join(
-        f"{unames[u]} {pnames[p]}\n"
+        unames[u] + unames[u].join(map(tails.__getitem__, perm_tuple(m)))
         for u, m in enumerate(upa.masks)
-        for p in perm_tuple(m)
+        if m
     )
 
 
@@ -150,10 +166,11 @@ def serialize_decomposition(d: Decomposition) -> str:
     order = sorted(d.roles, key=lambda r: (len(r.perms), r.sorted_perms()))
     renumber = {r.id: i for i, r in enumerate(order)}
     lines = [serialize_catalog([r.perms for r in order])]
+    names = [f"r{i}" for i in range(len(order))]
     for u, role_ids in enumerate(d.ua):
         if role_ids:
-            ids = sorted(renumber[rid] for rid in role_ids)
-            lines.append("user %d: %s\n" % (u, " ".join(f"r{i}" for i in ids)))
+            ids = sorted(map(renumber.__getitem__, role_ids))
+            lines.append(f"user {u}: {' '.join(map(names.__getitem__, ids))}\n")
     return "".join(lines)
 
 

@@ -168,7 +168,7 @@ class Decomposition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "roles", tuple(self.roles))
-        object.__setattr__(self, "ua", tuple(frozenset(s) for s in self.ua))
+        object.__setattr__(self, "ua", tuple(map(frozenset, self.ua)))
         ids = [r.id for r in self.roles]
         if len(set(ids)) != len(ids):
             raise InvalidDecompositionError("duplicate role ids")
@@ -180,14 +180,15 @@ class Decomposition:
                 )
             seen_perms.add(r.perms)
         known = set(ids)
-        assigned: set[int] = set()
-        for u, role_ids in enumerate(self.ua):
-            dangling = role_ids - known
-            if dangling:
-                raise InvalidDecompositionError(
-                    f"user {u} references unknown role ids {sorted(dangling)}"
-                )
-            assigned |= role_ids
+        assigned = set().union(*self.ua)
+        if not assigned <= known:
+            # Only now find the first user with a dangling id, to name it.
+            for u, role_ids in enumerate(self.ua):
+                dangling = role_ids - known
+                if dangling:
+                    raise InvalidDecompositionError(
+                        f"user {u} references unknown role ids {sorted(dangling)}"
+                    )
         orphans = known - assigned
         if orphans:
             raise InvalidDecompositionError(

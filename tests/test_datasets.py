@@ -10,6 +10,7 @@ from rolemine import (
     GeneratorParams,
     InvalidDecompositionError,
     ParseError,
+    Role,
     generate,
     is_complete,
     parse_catalog,
@@ -28,6 +29,8 @@ from rolemine.datasets import (
     relabel_catalog,
 )
 from rolemine.rng import SplitMix64
+
+from conftest import shape_draws
 
 
 # --- sparse format -----------------------------------------------------------
@@ -242,6 +245,43 @@ def test_serialize_decomposition_empty():
     assert serialize_decomposition(Decomposition.empty(2)) == ""
 
 
+def _reference_serialize_decomposition(d):
+    """Role lines in (size, sorted permission tuple) order, then each user
+    with a role, built user by user from the renumbered ids."""
+    order = sorted(d.roles, key=lambda r: (len(r.perms), sorted(r.perms)))
+    new_id = {r.id: i for i, r in enumerate(order)}
+    text = ""
+    for i, r in enumerate(order):
+        text += f"role {i}: " + " ".join(f"p{p}" for p in sorted(r.perms)) + "\n"
+    for u, role_ids in enumerate(d.ua):
+        if role_ids:
+            ids = sorted(new_id[rid] for rid in role_ids)
+            text += f"user {u}: " + " ".join(f"r{i}" for i in ids) + "\n"
+    return text
+
+
+@st.composite
+def _decompositions(draw):
+    """Unsorted role ids, users that share one frozenset, empty
+    assignments; roles nobody holds are dropped."""
+    perm_sets = draw(st.lists(
+        st.frozensets(st.integers(0, 12), min_size=1, max_size=5),
+        unique=True, max_size=8))
+    ids = draw(st.lists(st.integers(0, 60), unique=True,
+                        min_size=len(perm_sets), max_size=len(perm_sets)))
+    shared = draw(st.lists(st.frozensets(st.sampled_from(ids)), max_size=4)) if ids else []
+    ua = draw(st.lists(st.sampled_from(shared + [frozenset()]), max_size=10))
+    held = frozenset().union(*ua)
+    roles = tuple(Role(i, s) for i, s in zip(ids, perm_sets) if i in held)
+    return Decomposition(roles=roles, ua=tuple(ua))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_decompositions())
+def test_serialize_decomposition_matches_reference(d):
+    assert serialize_decomposition(d) == _reference_serialize_decomposition(d)
+
+
 def test_decomposition_text_round_trip():
     d = Decomposition.from_sets([{0, 1}, {2}, {1, 2, 3}], [{0, 2}, {1}, set()])
     text = serialize_decomposition(d)
@@ -443,3 +483,16 @@ def test_generate_truth_is_deduplicated_and_witnesses_completeness():
     assert len(set(truth)) == len(truth)
     d = witness_assignment(upa, truth)
     assert is_complete(upa, d)
+
+
+def test_skewed_instance_favours_its_first_role():
+    """Summed over the skewed draws, the rank-0 truth role lies in at least
+    1.5 times as many rows as the last rank; with every role equally
+    popular the two counts are about equal."""
+    draws = list(shape_draws(48, 40, max_users=60))
+    first = last = 0
+    for upa, truth, _ in draws[40:]:  # shape_draws yields the skewed half last
+        rows = upa.rows()
+        first += sum(truth[0] <= r for r in rows)
+        last += sum(truth[-1] <= r for r in rows)
+    assert 2 * first > 3 * last

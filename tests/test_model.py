@@ -81,6 +81,15 @@ def test_decomposition_rejects_dangling_role_id():
         Decomposition(roles=(Role(0, frozenset({1})),), ua=(frozenset({5}),))
 
 
+def test_decomposition_names_the_first_user_with_a_dangling_id():
+    with pytest.raises(InvalidDecompositionError,
+                       match=r"^user 1 references unknown role ids \[5, 7\]$"):
+        Decomposition(
+            roles=(Role(0, frozenset({1})),),
+            ua=(frozenset({0}), frozenset({7, 0, 5}), frozenset({9})),
+        )
+
+
 def test_decomposition_rejects_orphan_role():
     with pytest.raises(InvalidDecompositionError):
         Decomposition.from_sets([{0}, {1}], [{0}])
