@@ -29,18 +29,22 @@ the garbage collector tracks the index object alone.
 index sorts its groups.  The miners group by row.  The public stages take
 a complete decomposition, whose users of one row may hold different roles,
 and group by the assigned role set, which fixes the row; `lattice_reduce`
-indexes those groups per call, and `eliminate_union_roles` indexes its
-catalog from `(mask, (position,))` pairs, one row per role.
+indexes those groups per call.
 
 Every stage's result comes from one builder, `rebuild`, given the roles
 still held and the role ids of each group.  The miners reach it through
 `mined`, which builds a `Role` only for each mask still held, with its
 position as its id.  The public stages reach it through `staged`, the one
-adapter that runs a stage core on any complete decomposition: it numbers
-the roles in cover order, so a catalog index built from their masks keeps
-each role at its position, hands the core the masks, those the stage's
-completeness check (`complete_masks`) built, and each group's positions,
-and maps the positions back to role ids once.
+adapter that runs a stage core on any complete decomposition: it indexes
+the stage's catalog once, from one `(mask, (role id,))` pair per role with
+the masks the stage's completeness check (`complete_masks`) built, numbers
+the roles by their positions in that index, hands the core the catalog
+index and each group's positions, and maps the positions back to role ids
+once.
+
+Union elimination and the lattice replace a role by the same greedy cover
+of other catalog roles, written once, in `cover`: walk a list of roles in
+cover order and take each that meets what is left, until nothing is.
 """
 
 from __future__ import annotations
@@ -83,26 +87,44 @@ def staged(
     d: Decomposition,
     masks: dict[int, int],
     users: Sequence[Sequence[int]],
-    core: Callable[[list[int], list[set[int]]], None],
+    core: Callable[[RowIndex, list[set[int]]], None],
 ) -> Decomposition:
     """A public stage's result: `core` run on the complete decomposition `d`,
     whose role masks by id are `masks`, as `complete_masks` returns them.
 
-    ``users[g]`` is a group of users holding one role set in `d`.  Position
-    i numbers `d`'s roles in cover order (`cover_key`);
-    ``core(ordered, held)`` gets the masks in position order and updates
-    ``held[g]``, the positions group g holds, in place.  A stage hands a
-    dropped role's groups other roles and never takes a kept role from its
-    last group, so the roles still held are the ones kept; they stay in
-    `d`'s order.
+    ``users[g]`` is a group of users holding one role set in `d`.  The
+    stage's catalog is a `RowIndex` of one `(mask, (role id,))` pair per
+    role, so position i numbers `d`'s roles in cover order (`cover_key`);
+    ``core(catalog, held)`` updates ``held[g]``, the positions group g
+    holds, in place.  A stage hands a dropped role's groups other roles and
+    never takes a kept role from its last group, so the roles still held
+    are the ones kept; they stay in `d`'s order.
     """
-    order = sorted(d.roles, key=lambda r: cover_key(sorted(r.perms)))
-    position = {r.id: i for i, r in enumerate(order)}
+    catalog = RowIndex([(masks[r.id], (r.id,)) for r in d.roles], upa.n_perms)
+    position = {rid: i for i, (rid,) in enumerate(catalog.users)}
     held = [{position[rid] for rid in d.ua[group[0]]} for group in users]
-    core([masks[r.id] for r in order], held)
-    assigned = [{order[i].id for i in roles} for roles in held]
+    core(catalog, held)
+    assigned = [{catalog.users[i][0] for i in roles} for roles in held]
     live = set().union(*assigned)
     return rebuild([r for r in d.roles if r.id in live], assigned, users, upa.n_users)
+
+
+def cover(
+    i: int, rest: int, order: Iterable[int], masks: Sequence[int]
+) -> tuple[list[int], int]:
+    """The greedy cover of `rest` by the roles of `order` other than `i`:
+    takes, in order, each that meets what is left, until nothing is.
+    Returns the roles taken and what they leave; `order` is not read when
+    `rest` is empty."""
+    taken = []
+    if rest:
+        for j in order:
+            if masks[j] & rest and j != i:
+                taken.append(j)
+                rest &= ~masks[j]
+                if not rest:
+                    break
+    return taken, rest
 
 
 def row_groups(
@@ -123,10 +145,9 @@ def row_groups(
     return list(groups.values())
 
 
-def cover_key(perms: Sequence[int]) -> tuple[int, Sequence[int]]:
+def cover_key(perms: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """The cover order's sort key of a role or row, given as its ascending
-    permissions (a tuple, or a list where every key of a sort is one):
-    size descending, then the permissions."""
+    permission tuple: size descending, then the permissions."""
     return -len(perms), perms
 
 

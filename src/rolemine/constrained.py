@@ -29,11 +29,12 @@ Union elimination reads "which candidates lie inside candidate r" from the
 index.  r's strict supersets are larger, so they sit before r: they are
 `RowIndex.containing` r's mask among the positions before r.  Inverting
 that lists r's subsets by ascending position, the largest-first order of
-the greedy cover.  One walk over them, taking each that still meets what
-is left of r, is both the test (it empties the rest iff they union to r)
-and the cover.  The subsets all sit later, so the outcome depends on the
-masks alone.  Visited last to first, r's stand-ins are {r} if it is kept,
-else the union of its cover members' stand-ins, already known.
+the greedy cover.  One walk over them (`_rowindex.cover`, the lattice's
+walk too), taking each that still meets what is left of r, is both the
+test (it empties the rest iff they union to r) and the cover.  The
+subsets all sit later, so the outcome depends on the masks alone.
+Visited last to first, r's stand-ins are {r} if it is kept, else the
+union of its cover members' stand-ins, already known.
 
 Split policy for an oversized candidate: greedily take existing roles that
 fit inside the uncovered remainder (largest first, ties by lexicographically
@@ -51,12 +52,12 @@ The public stages run the same cores on their arguments.
 `initial_candidates` reads the matrix's index and decodes each candidate's
 permission set.  `eliminate_union_roles` is its completeness check
 (`complete_masks`, which keeps the role masks it builds) and one call of
-the public stages' adapter (`_rowindex.staged`), which numbers the roles
-in cover order.  Its core indexes the catalog from
-`(mask, (position,))` pairs, one row per role, so each role keeps its
-position, and gives each group the union of its roles' stand-ins.  The
-groups come from `row_groups` alone, by the roles they hold, with no
-decode, no sort and no index.
+the public stages' adapter (`_rowindex.staged`), which indexes the catalog
+once, from `(mask, (role id,))` pairs, one row per role, and numbers the
+roles by their positions in it.  Its core is `_eliminate` on that index,
+and it gives each group the union of its roles' stand-ins.  The groups
+come from `row_groups` alone, by the roles they hold, with no decode, no
+sort and no index.
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._rowindex import RowIndex, candidate_order, cover_key, mined, row_groups, staged
+from ._rowindex import (
+    RowIndex, candidate_order, cover, cover_key, mined, row_groups, staged
+)
 from .lattice import reduce_rows
 from .model import (
     AccessMatrix,
@@ -129,16 +132,9 @@ def _eliminate(index: RowIndex) -> list[set[int]]:
     stand_ins: list[set[int]] = [set()] * len(masks)
     # Every role in subs[i] sits later than i, so its stand-ins are known.
     for i in reversed(range(len(masks))):
-        cover = []
-        rest = masks[i]
-        for j in subs[i]:
-            if masks[j] & rest:
-                cover.append(j)
-                rest &= ~masks[j]
-                if not rest:
-                    break
+        taken, rest = cover(i, masks[i], subs[i], masks)
         # The walk empties `rest` iff the subsets union to the mask.
-        stand_ins[i] = {i} if rest else set().union(*(stand_ins[j] for j in cover))
+        stand_ins[i] = {i} if rest else set().union(*(stand_ins[j] for j in taken))
     return stand_ins
 
 
@@ -153,14 +149,14 @@ def eliminate_union_roles(
     with covering roles that go too replaced by their own covers.  Subsets
     are all smaller, so the outcome never depends on the order of removal.
 
-    The roles inside each role come from a row index (rolemine._rowindex)
-    built from one `(mask, (position,))` pair per role, positions in cover
-    order as `_rowindex.staged` numbers them: a role's strict supersets are
-    larger, so they are the roles before it that are `RowIndex.containing`
-    its mask.  Inverted, this gives each role its subsets as an ascending
-    position list, largest first with ties by permission tuple, so the cover
-    is the one a sort of the contained roles would give.  A group of users
-    with the same roles takes the union of their stand-ins.
+    The roles inside each role come from the catalog index that
+    `_rowindex.staged` builds, one `(mask, (role id,))` pair per role, with
+    positions in cover order: a role's strict supersets are larger, so they
+    are the roles before it that are `RowIndex.containing` its mask.
+    Inverted, this gives each role its subsets as an ascending position
+    list, largest first with ties by permission tuple, so the cover
+    (`_rowindex.cover`) is the one a sort of the contained roles would give.
+    A group of users with the same roles takes the union of their stand-ins.
     """
     d = Decomposition(roles=tuple(roles), ua=tuple(frozenset(s) for s in ua))
     masks = complete_masks(upa, d)
@@ -169,12 +165,8 @@ def eliminate_union_roles(
             "eliminate_union_roles requires a complete decomposition"
         )
 
-    def core(ordered: list[int], held: list[set[int]]) -> None:
-        # One row per role, whose one user is its position: the masks come
-        # in cover order, so the index keeps each role at its position.
-        stand_ins = _eliminate(
-            RowIndex([(m, (i,)) for i, m in enumerate(ordered)], upa.n_perms)
-        )
+    def core(catalog: RowIndex, held: list[set[int]]) -> None:
+        stand_ins = _eliminate(catalog)
         held[:] = [{s for i in roles for s in stand_ins[i]} for roles in held]
 
     # Group order cannot change the result: each user's set is written.

@@ -53,7 +53,8 @@ re-truncating every round.
 
 Roles are kept as masks, and a `Role` is built only for each one still
 held at the end; assignments are kept per row.  With the lattice on, a
-per-row check that each row's roles union to its mask comes first.  Then
+per-row check that each row's roles union to its mask comes first, the
+same check (`model._rows_covered`) that completeness runs per user.  Then
 one lattice sweep (`lattice.reduce_rows`) runs over the index.  It
 equals `lattice_reduce` on the raw output, which runs the same sweep on
 the raw output's role-set groups through the public stages' adapter
@@ -76,6 +77,7 @@ from .model import (
     MiningConfig,
     mask_of,
     perm_tuple,
+    _rows_covered,
 )
 
 
@@ -192,13 +194,9 @@ def mine_crm(
     index = upa._row_index
     role_masks, held = _greedy(index, k)
     if lattice:
-        for m, roles in zip(index.masks, held):
-            union = 0
-            for rid in roles:
-                union |= role_masks[rid]
-            if union != m:
-                raise IncompleteDecompositionError(
-                    "CRM left a row uncovered before the lattice pass"
-                )
+        if not _rows_covered(index.masks, held, role_masks):
+            raise IncompleteDecompositionError(
+                "CRM left a row uncovered before the lattice pass"
+            )
         reduce_rows(role_masks, index, held)
     return mined(upa, role_masks, held)

@@ -13,37 +13,40 @@ same roles are reassigned alike, so each group keeps one assignment.  The
 miners run `reduce_rows` on their distinct-row index, where every user of
 a row holds the same roles, and build their result through
 `_rowindex.mined`.  `lattice_reduce` is its three checks and one call of
-the public stages' adapter, `_rowindex.staged`, with `reduce_rows` over an
-index built from the `row_groups` of the assigned role sets as its core;
-the adapter takes the role masks the completeness check
-(`complete_masks`) built.  Both reach one builder, `rebuild`.
+the public stages' adapter, `_rowindex.staged`, which indexes the catalog
+once, in cover order, from the role masks the completeness check
+(`complete_masks`) built; its core is `reduce_rows` on that index's masks
+and an index built from the `row_groups` of the assigned role sets.  Both
+reach one builder, `rebuild`.
 
 Roles come in as masks and stay masks; the pass decodes each role's
 permission tuple only for its place in the cover order, the removal order
-(`_rowindex.cover_key`).  A role's fitting
-rows are `RowIndex.containing` its mask (rolemine._rowindex describes the
-index); each row keeps its fitting roles in removal order.  A role's
-holders are not stored a second time: they are its fitting rows that hold
-it, which is exact because completeness makes every held role fit its
-group.  A row's list holds only its live fitting roles: a removed role
-leaves the lists of the rows it fits.
+(`_rowindex.cover_key`).  A role's fitting rows are `RowIndex.containing`
+its mask (rolemine._rowindex describes the index); each row keeps its
+fitting roles in removal order.  A role's holders are not stored a second
+time: they are its fitting rows that hold it, which is exact because
+completeness makes every held role fit its group.  A row's list holds only
+its live fitting roles: a removed role leaves the lists of the rows it
+fits.
 
 Each holder takes one walk, which is both the test and the reassignment.
 Its `rest` is the role's mask minus the union of its other held roles,
-and the walk takes, in list order, each other role of its list that meets
-`rest` until `rest` is empty.  The other held roles are live and fit the
-row, so the list covers the mask iff the walk empties `rest`, and the
-picks are those of a catalog scan in the same order.  Holders are visited
-in fitting-row order, and the first whose walk fails keeps the role with
-nothing changed; only when every holder passes does the role leave the
-lists and its holders swap it for their picks.
+and the walk (`_rowindex.cover`, union elimination's too) takes, in list
+order, each other role of its list that meets `rest` until `rest` is
+empty; a holder whose other roles already cover the mask reads no list.
+The other held roles are live and fit the row, so the list covers the
+mask iff the walk empties `rest`, and the picks are those of a catalog
+scan in the same order.  Holders are visited in fitting-row order, and
+the first whose walk fails keeps the role with nothing changed; only when
+every holder passes does the role leave the lists and its holders swap
+it for their picks.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ._rowindex import RowIndex, cover_key, row_groups, staged
+from ._rowindex import RowIndex, cover, cover_key, row_groups, staged
 from .model import (
     AccessMatrix,
     ConstraintViolationError,
@@ -89,17 +92,9 @@ def reduce_rows(masks: Sequence[int], index: RowIndex, held: list[set[int]]) -> 
             for other in roles:
                 if other != i:
                     still |= masks[other]
-            rest = m & ~still
-            taken: list[int] = []
+            taken, rest = cover(i, m & ~still, fits[g], masks)
             if rest:
-                for j in fits[g]:
-                    if masks[j] & rest and j != i:
-                        taken.append(j)
-                        rest &= ~masks[j]
-                        if not rest:
-                            break
-                else:
-                    break  # g's list leaves part of m bare: i stays
+                break  # g's list leaves part of m bare: i stays
             picks.append((roles, taken))
         else:  # every holder's walk covered m: i goes
             for g in fit_rows[i]:
@@ -128,5 +123,5 @@ def lattice_reduce(upa: AccessMatrix, d: Decomposition, k: int) -> Decomposition
     index = RowIndex(row_groups(upa, d.ua), upa.n_perms)
     return staged(
         upa, d, masks, index.users,
-        lambda ordered, held: reduce_rows(ordered, index, held),
+        lambda catalog, held: reduce_rows(catalog.masks, index, held),
     )

@@ -273,13 +273,20 @@ def complete_masks(upa: AccessMatrix, d: Decomposition) -> dict[int, int] | None
                 f"role {r.id} references a permission >= n_perms ({upa.n_perms})"
             )
         masks[r.id] = mask_of(r.perms)
-    for u in range(upa.n_users):
+    return masks if _rows_covered(upa.masks, d.ua, masks) else None
+
+
+def _rows_covered(rows: Iterable[int], held: Iterable[Iterable[int]], masks) -> bool:
+    """True iff each row's roles union to exactly the row: ``rows`` and
+    ``held`` pair each row's mask with its role ids, and ``masks[r]`` is
+    role r's mask (a dict by id or a list by position)."""
+    for m, roles in zip(rows, held):
         union = 0
-        for rid in d.ua[u]:
-            union |= masks[rid]
-        if union != upa.masks[u]:
-            return None
-    return masks
+        for r in roles:
+            union |= masks[r]
+        if union != m:
+            return False
+    return True
 
 
 def satisfies_constraint(d: Decomposition, k: int) -> bool:

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from rolemine import (
     IncompleteDecompositionError,
     MiningConfig,
     Role,
+    eliminate_union_roles,
     is_complete,
     lattice_reduce,
     mine_constrained,
@@ -283,9 +285,9 @@ def _sweeps_agree(upa, d):
     index = RowIndex(row_groups(upa, d.ua), upa.n_perms)
     runs = []
     for sweep in (_reference_reduce_rows, reduce_rows):
-        def core(masks, held, sweep=sweep):
+        def core(catalog, held, sweep=sweep):
             runs.append([set(roles) for roles in held])
-            sweep(masks, index, held)
+            sweep(catalog.masks, index, held)
             runs.append(held)
         staged(upa, d, complete_masks(upa, d), index.users, core)
     before, expected, _, held = runs
@@ -306,6 +308,40 @@ def test_sweep_matches_two_walk_reference_on_mined_outputs():
 def test_sweep_matches_two_walk_reference_on_guard(miner, k):
     upa = guard_instance()
     _sweeps_agree(upa, miner(upa, MiningConfig(max_perms_per_role=k), lattice=False))
+
+
+def _assert_stages_ignore_role_order(upa, d, k, seed):
+    """Both public stages give `d`'s result, kept roles in the input's
+    order, when `d.roles` is reversed or shuffled with ids and ua kept: the
+    adapter numbers the roles by their masks alone."""
+    def stages(roles):
+        given = Decomposition(roles=roles, ua=d.ua)
+        return eliminate_union_roles(roles, d.ua, upa), lattice_reduce(upa, given, k)
+
+    expected = stages(d.roles)
+    shuffled = tuple(random.Random(seed).sample(d.roles, len(d.roles)))
+    for roles in (d.roles[::-1], shuffled):
+        for out, want in zip(stages(roles), expected):
+            assert out.ua == want.ua
+            assert out.roles == tuple(r for r in roles if r in set(want.roles))
+
+
+@pytest.mark.parametrize("k", [2, 5, 20])
+@pytest.mark.parametrize("miner", [mine_constrained, mine_crm])
+def test_public_stages_ignore_role_order_on_guard(miner, k):
+    upa = guard_instance()
+    d = miner(upa, MiningConfig(max_perms_per_role=k), lattice=False)
+    _assert_stages_ignore_role_order(upa, d, k, seed=k)
+
+
+def test_public_stages_ignore_role_order_on_shape_draws():
+    draws = shape_draws(9797, 25, min_users=5, max_users=80,
+                        min_perms=5, max_perms=40)
+    for seed, (upa, _, k) in enumerate(draws):
+        cfg = MiningConfig(max_perms_per_role=k)
+        for miner in (mine_constrained, mine_crm):
+            d = miner(upa, cfg, lattice=False)
+            _assert_stages_ignore_role_order(upa, d, k, seed)
 
 
 def test_role_kept_by_its_second_holder_leaves_first_holder_alone():

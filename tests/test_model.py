@@ -18,7 +18,7 @@ from rolemine import (
     serialize_decomposition,
     singleton_decomposition,
 )
-from rolemine._rowindex import RowIndex, row_groups
+from rolemine._rowindex import RowIndex, cover, row_groups
 from rolemine.model import mask_of, perm_tuple
 from rolemine.rng import SplitMix64
 
@@ -305,6 +305,29 @@ def _mine_everywhere(upa):
         for miner in MINERS:
             for lattice in (True, False):
                 miner(upa, MiningConfig(max_perms_per_role=k), lattice=lattice)
+
+
+def test_cover_skips_i_and_stops_once_the_rest_is_empty():
+    masks = [0b0111, 0b0011, 0b0100, 0b1000, 0b0001]
+    # Role 0 meets the rest but is skipped; 4 meets nothing left once 1 is
+    # taken; 2 empties the rest, so 3 is never read.
+    order = iter([0, 1, 4, 2, 3])
+    assert cover(0, 0b0111, order, masks) == ([1, 2], 0)
+    assert list(order) == [3]
+
+
+def test_cover_returns_what_it_cannot_cover():
+    masks = [0b0111, 0b0011, 0b0100, 0b1000, 0b0001]
+    assert cover(0, 0b1111, [0, 1, 4], masks) == ([1], 0b1100)
+    assert cover(3, 0b1000, [0, 1, 2, 3, 4], masks) == ([], 0b1000)
+
+
+def test_cover_of_an_empty_rest_reads_no_order():
+    def unread():
+        raise AssertionError("cover read `order` for an empty rest")
+        yield
+
+    assert cover(0, 0, unread(), [0b1]) == ([], 0)
 
 
 def test_mining_leaves_the_cached_index_as_built():
