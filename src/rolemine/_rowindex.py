@@ -14,8 +14,10 @@ itself: `containing` ANDs the positions with the columns of S's mask,
 decoding it from the top bit, and stops once none is left.  The order puts
 every strict superset of a row before the row, as it is larger, so a row's
 strict supersets are the rows before it that contain it.  The build decodes
-each row once: the permission tuples give the order and fill the columns
-and frequencies in one loop, and are dropped when the build ends.
+only the few rows that several users share: `cover_key` sorts the masks by
+their bytes, the columns are the sorted rows' bit matrix transposed 8x8
+bits at a time (`_transpose`), and a permission's frequency is its
+column's bit count plus the further users of those shared rows.
 
 A matrix builds its index once, on first use (`AccessMatrix._row_index`),
 from its `row_groups`, and keeps it, so both miners, `initial_candidates`
@@ -145,16 +147,65 @@ def row_groups(
     return list(groups.values())
 
 
-def cover_key(perms: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """The cover order's sort key of a role or row, given as its ascending
-    permission tuple: size descending, then the permissions."""
-    return -len(perms), perms
+# _COVER[x] is 255 minus x with its 8 bits reversed: bit 0 becomes the
+# heaviest, and a byte holding a lower bit compares smaller.
+_COVER = bytes(255 - int(f"{x:08b}"[::-1], 2) for x in range(256))
+
+
+def cover_key(mask: int) -> tuple[int, bytes]:
+    """The cover order's sort key of a role or row, given as its mask: size
+    descending, then the ascending permission tuple.
+
+    Of two masks of one size, the smaller permission tuple holds the lowest
+    bit where they differ.  The key's bytes run from bit 0 up, each byte
+    reversed and complemented, so they first differ at that bit's byte and
+    the mask holding it compares smaller there.  Of one size, neither key
+    is a prefix of another: a longer mask that agreed on every byte of a
+    shorter one would hold more bits.  No mask is decoded.
+    """
+    return -mask.bit_count(), mask.to_bytes(
+        (mask.bit_length() + 7) >> 3, "little"
+    ).translate(_COVER)
 
 
 def candidate_order(masks: Sequence[int], users: Sequence[Sequence[int]]) -> list[int]:
     """Row positions by (size, smallest user): the candidate order, in which
     a row's rank is its candidate role's id."""
     return sorted(range(len(masks)), key=lambda i: (masks[i].bit_count(), users[i][0]))
+
+
+# Warren's transpose8 (Hacker's Delight, section 7-3): three delta swaps
+# (shift, mask) transpose the 8x8 bit matrix held in a 64-bit word, byte j
+# bit t going to byte t bit j.
+_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+
+
+def _transpose(masks: Sequence[int], n_perms: int) -> tuple[int, ...]:
+    """Permission p's bitmap over the positions of `masks`, for each p below
+    `n_perms`: the bit matrix of the rows, transposed.
+
+    The rows are laid out as one buffer of `n_perms`-bit little-endian
+    rows.  Byte column b, read as one int, holds a 64-bit word per 8 rows,
+    row j of the 8 in byte j, the last word padded with zero rows.  The
+    delta swaps, their masks repeated across every word, transpose every
+    word at once, so byte t of each word holds the 8 rows' bits of
+    permission 8b + t, and that permission's column is those bytes joined.
+    No row is decoded and no cell is visited one at a time.
+    """
+    width = (n_perms + 7) >> 3
+    height = len(masks) + (-len(masks) % 8)
+    buf = b"".join([m.to_bytes(width, "little") for m in masks])
+    repeat = int.from_bytes(b"\1\0\0\0\0\0\0\0" * (height >> 3), "little")
+    swaps = [(s, mask * repeat) for s, mask in _SWAPS]
+    columns: list[int] = []
+    for b in range(width):
+        x = int.from_bytes(buf[b::width], "little")
+        for s, mask in swaps:
+            t = (x ^ (x >> s)) & mask
+            x ^= t ^ (t << s)
+        data = x.to_bytes(height, "little")
+        columns += [int.from_bytes(data[t::8], "little") for t in range(8)]
+    return tuple(columns[:n_perms])
 
 
 class RowIndex:
@@ -165,7 +216,9 @@ class RowIndex:
     ``freq[p]`` is the number of users holding p, summed over the positions
     in p's column.  The index is built from `(mask, users)` groups with
     nonempty masks below bit `n_perms`, as `row_groups` forms them; where
-    groups repeat a row, those of one row keep their given order.
+    groups repeat a row, those of one row keep their given order, as the
+    sort by `cover_key` is stable.  The columns are the rows transposed by
+    `_transpose`; only rows of several users are decoded, for `freq`.
     """
 
     __slots__ = ("masks", "users", "columns", "freq")
@@ -173,22 +226,16 @@ class RowIndex:
     def __init__(
         self, groups: Iterable[tuple[int, Sequence[int]]], n_perms: int
     ) -> None:
-        # Each row is decoded once, here, for the order and the columns; the
-        # permission tuples go when the build ends.
-        rows = [(perm_tuple(m), m, users) for m, users in groups]
-        rows.sort(key=lambda row: cover_key(row[0]))
-        self.masks = tuple(row[1] for row in rows)
-        self.users = tuple(tuple(row[2]) for row in rows)
-        # Position i is bit i & 7 of byte i >> 3: int.from_bytes reads each
-        # column once, where ORing one big int per cell would copy it.
-        cols = [bytearray((len(rows) + 7) >> 3) for _ in range(n_perms)]
-        freq = [0] * n_perms
-        for i, (perms, _, users) in enumerate(rows):
-            byte, bit, n = i >> 3, 1 << (i & 7), len(users)
-            for p in perms:
-                cols[p][byte] |= bit
-                freq[p] += n
-        self.columns = tuple(int.from_bytes(col, "little") for col in cols)
+        rows = sorted(groups, key=lambda group: cover_key(group[0]))
+        self.masks = tuple(m for m, _ in rows)
+        self.users = tuple(tuple(users) for _, users in rows)
+        self.columns = _transpose(self.masks, n_perms)
+        # A column counts each row once; a row of several users adds the rest.
+        freq = [col.bit_count() for col in self.columns]
+        for m, users in zip(self.masks, self.users):
+            if len(users) > 1:
+                for p in perm_tuple(m):
+                    freq[p] += len(users) - 1
         self.freq = tuple(freq)
 
     def containing(self, mask: int, rows: int = -1) -> int:

@@ -46,7 +46,7 @@ remainder never fits again, so one pass over the pool in that order makes
 the same picks as repeatedly taking the best fitting role.  The catalog only
 grows: no chunk equals a catalog role, which would have been taken first.
 It is a list of masks alone, scanned for the masks inside the candidate;
-the pool is sorted by the cover key of each mask's decoded tuple.
+the pool is sorted by each mask's cover key, with no decode.
 
 The public stages run the same cores on their arguments.
 `initial_candidates` reads the matrix's index and decodes each candidate's
@@ -226,7 +226,7 @@ def mine_constrained(
             continue
         outside = ~m
         pool = [c for c, e in enumerate(cat_masks) if not e & outside]
-        pool.sort(key=lambda c: cover_key(perm_tuple(cat_masks[c])))
+        pool.sort(key=lambda c: cover_key(cat_masks[c]))
         taken, chunks = _split(m, [cat_masks[c] for c in pool], k, index.freq)
         pieces[i] = tuple(pool[j] for j in taken) + tuple(
             _add(mask_of(c)) for c in chunks

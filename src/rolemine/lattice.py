@@ -19,15 +19,14 @@ once, in cover order, from the role masks the completeness check
 and an index built from the `row_groups` of the assigned role sets.  Both
 reach one builder, `rebuild`.
 
-Roles come in as masks and stay masks; the pass decodes each role's
-permission tuple only for its place in the cover order, the removal order
-(`_rowindex.cover_key`).  A role's fitting rows are `RowIndex.containing`
-its mask (rolemine._rowindex describes the index); each row keeps its
-fitting roles in removal order.  A role's holders are not stored a second
-time: they are its fitting rows that hold it, which is exact because
-completeness makes every held role fit its group.  A row's list holds only
-its live fitting roles: a removed role leaves the lists of the rows it
-fits.
+Roles come in as masks and stay masks; the pass sorts them into the cover
+order, the removal order, by their masks' `_rowindex.cover_key`.  A role's
+fitting rows are `RowIndex.containing` its mask (rolemine._rowindex
+describes the index); each row keeps its fitting roles in removal order.
+A role's holders are not stored a second time: they are its fitting rows
+that hold it, which is exact because completeness makes every held role
+fit its group.  A row's list holds only its live fitting roles: a removed
+role leaves the lists of the rows it fits.
 
 Each holder takes one walk, which is both the test and the reassignment.
 Its `rest` is the role's mask minus the union of its other held roles,
@@ -65,7 +64,7 @@ def reduce_rows(masks: Sequence[int], index: RowIndex, held: list[set[int]]) -> 
     set of roles group g holds and is updated in place; every role held
     must fit its group.
     """
-    order = sorted(range(len(masks)), key=lambda i: cover_key(perm_tuple(masks[i])))
+    order = sorted(range(len(masks)), key=lambda i: cover_key(masks[i]))
     fit_rows: list[tuple[int, ...]] = [()] * len(masks)
     fits: list[list[int]] = [[] for _ in held]
     for i in order:

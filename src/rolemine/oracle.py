@@ -47,7 +47,7 @@ def optimal_role_count(upa: AccessMatrix, k: int) -> tuple[int, Decomposition]:
     fits_in_row = [
         sorted(
             (c for c in range(1, row + 1) if c & ~row == 0 and c.bit_count() <= k),
-            key=lambda m: cover_key(perm_tuple(m)),
+            key=cover_key,
         )
         for row in rows
     ]

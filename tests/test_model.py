@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from rolemine import (
     serialize_decomposition,
     singleton_decomposition,
 )
-from rolemine._rowindex import RowIndex, cover, row_groups
+from rolemine._rowindex import RowIndex, cover, cover_key, row_groups
 from rolemine.model import mask_of, perm_tuple
 from rolemine.rng import SplitMix64
 
@@ -205,6 +206,25 @@ def test_distinct_rows_partitions_users(rows):
     assert keys == sorted(set(keys))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=130).flatmap(
+        lambda width: st.sets(
+            st.sets(st.integers(min_value=0, max_value=width - 1),
+                    min_size=1, max_size=6).map(mask_of),
+            max_size=12,
+        )
+    )
+)
+def test_cover_key_orders_masks_as_their_permission_tuples(masks):
+    # Widths up to 130 draw masks of one size but different byte lengths,
+    # and masks of one size that first differ within one byte.
+    for a in masks:
+        for b in masks:
+            by_tuple = (-a.bit_count(), perm_tuple(a)) < (-b.bit_count(), perm_tuple(b))
+            assert (cover_key(a) < cover_key(b)) == by_tuple
+
+
 def test_distinct_rows_keyed_by_role_set_splits_a_row():
     # users 0 and 2 share row {0, 1} but hold different roles
     upa = AccessMatrix.from_rows([{0, 1}, {2}, {0, 1}, {0, 1}])
@@ -266,20 +286,18 @@ def test_row_index_containing_names_the_rows_holding_a_set(rows, wanted):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.sets(st.integers(min_value=0, max_value=9), max_size=6),
-            st.integers(min_value=0, max_value=2),
-        ),
-        max_size=40,
-    ),
-    st.booleans(),
-)
-def test_row_index_columns_and_freq_match_the_rows(drawn, keyed):
-    # Up to 40 positions span five bytes of a column; permissions 10 and
-    # 11 are held by no row.  Keyed groups repeat rows.
-    upa = AccessMatrix.from_rows([row for row, _ in drawn], n_perms=12)
+@given(st.data(), st.booleans())
+def test_row_index_columns_and_freq_match_the_rows(data, keyed):
+    # Up to 70 positions span nine bytes of a column and up to 70
+    # permissions nine bytes of a row, the last bytes often partial, and
+    # the row count is rarely a multiple of 8.  Keyed groups repeat rows.
+    n_perms = data.draw(st.integers(min_value=0, max_value=70))
+    perms = st.sets(st.integers(min_value=0, max_value=max(n_perms - 1, 0)),
+                    max_size=min(n_perms, 12))
+    drawn = data.draw(st.lists(
+        st.tuples(perms, st.integers(min_value=0, max_value=2)), max_size=70
+    ))
+    upa = AccessMatrix.from_rows([row for row, _ in drawn], n_perms=n_perms)
     keys = [(m, c) for m, (_, c) in zip(upa.masks, drawn)] if keyed else None
     index = RowIndex(row_groups(upa, keys), upa.n_perms)
     assert len(index.columns) == len(index.freq) == upa.n_perms
@@ -288,6 +306,28 @@ def test_row_index_columns_and_freq_match_the_rows(drawn, keyed):
         assert index.columns[p] == mask_of(holding)
         assert index.freq[p] == sum(len(index.users[i]) for i in holding)
         assert index.freq[p] == sum(m >> p & 1 for m in upa.masks)
+
+
+def test_row_index_of_no_rows():
+    assert _fields(RowIndex([], 0)) == {
+        "masks": (), "users": (), "columns": (), "freq": ()}
+    assert _fields(RowIndex([], 9)) == {
+        "masks": (), "users": (), "columns": (0,) * 9, "freq": (0,) * 9}
+
+
+def test_row_index_fields_pinned_on_guard_instance():
+    # 1626 rows (2 past a multiple of 8), 500 permissions (4 past one) and
+    # 124 rows of several users: a slip in the columns or frequencies that
+    # moves no decomposition still changes this digest.
+    index = RowIndex(row_groups(guard_instance()), 500)
+    assert (len(index.masks), sum(len(users) > 1 for users in index.users)) == (1626, 124)
+    text = "\n".join([
+        " ".join(map(hex, index.masks)), repr(index.users),
+        " ".join(map(hex, index.columns)), repr(index.freq),
+    ])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c2c12d37b7591f50547abd86d818997e8084b959b484491ca48d640a4c20e1f7"
+    )
 
 
 # --- the matrix's cached row index -------------------------------------------
