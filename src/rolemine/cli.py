@@ -63,9 +63,11 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _read_text(path: str) -> str:
-    """A file's text; bytes that are not UTF-8 are a data error."""
+    """A file's text, without a leading byte-order mark; bytes that are not
+    UTF-8 are a data error.  The mark is dropped after decoding, since the
+    "utf-8-sig" codec would count an error's byte from after the mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         data = Path(path).read_bytes()
         raise ParseError(

@@ -12,6 +12,12 @@ sparse
 dense
     One row of '0'/'1' characters per user, all rows the same length.
 
+Every parser here, of these two formats and of the decomposition and
+catalog text form, reads its text through one chunk reader, `_chunks`.  It
+cuts the text at the first newline about 64 K characters past its previous
+cut, strips each chunk's comments and numbers the chunk's lines, so a parse
+holds one chunk's lines at a time, not every line of its input.
+
 The generator draws a role catalog first and then lets users sample roles,
 so every generated matrix carries a known ground-truth catalog.  All draws
 come from the SplitMix64 stream in rolemine.rng; a (params, seed) pair
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .model import (
     AccessMatrix,
@@ -44,18 +50,36 @@ class ParseError(RoleMiningError):
 
 
 # A comment runs from '#' to the end of its line; removing it keeps the
-# newline, so line numbers still count from the original text.
+# newline, so line numbers still count from the original text.  It never
+# spans a newline, so stripping each chunk that `_chunks` cuts at a newline
+# removes the same text as stripping the whole.
 _COMMENT = re.compile("#[^\n]*")
+# Characters in a chunk, at least: `_chunks` cuts at the first newline this
+# far past its previous cut.
+_CHUNK = 1 << 16
 
 
-def _logical_lines(text: str) -> list[tuple[int, str]]:
+def _chunks(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The number of each chunk's first line and the chunk's lines, with
+    comments removed; together the chunks' lines are the text's lines."""
+    first, start = 1, 0
+    while True:
+        cut = text.find("\n", start + _CHUNK)
+        lines = _COMMENT.sub("", text[start:cut if cut >= 0 else None]).split("\n")
+        yield first, lines
+        if cut < 0:
+            return
+        first += len(lines)
+        start = cut + 1
+
+
+def _logical_lines(text: str) -> Iterator[tuple[int, str]]:
     """(line number, content) pairs with comments and blank lines dropped."""
-    out = []
-    for i, raw in enumerate(_COMMENT.sub("", text).split("\n"), start=1):
-        line = raw.strip()
-        if line:
-            out.append((i, line))
-    return out
+    for first, lines in _chunks(text):
+        for i, raw in enumerate(lines, first):
+            line = raw.strip()
+            if line:
+                yield i, line
 
 
 class SparseParseResult(NamedTuple):
@@ -70,33 +94,38 @@ class SparseParseResult(NamedTuple):
 def parse_sparse(text: str) -> SparseParseResult:
     """Parse "<user> <perm>" lines into a matrix plus name maps.
 
-    Comments are removed in one regex pass over the whole text.  Each
-    permission token maps to its bit on first appearance, and each pair is
-    ORed into its user's mask as the line is read, so a repeated pair
-    changes nothing.  A line with other than two tokens raises ParseError.
+    The text is read one chunk of about 64 K characters at a time (see
+    `_chunks`), so the parse holds no more than one chunk's lines at once.
+    Each permission token maps to its bit on first appearance, and each
+    pair is ORed into its user's mask as the line is read, so a repeated
+    pair changes nothing.  A line with other than two tokens raises
+    ParseError; its number is worked out only then.
     """
     users: dict[str, int] = {}
     bits: dict[str, int] = {}
     masks: list[int] = []
-    for line_no, raw in enumerate(_COMMENT.sub("", text).split("\n"), start=1):
-        try:
-            u_tok, p_tok = raw.split()
-        except ValueError:
-            count = len(raw.split())
-            if not count:
-                continue
-            raise ParseError(
-                line_no, f"expected 2 tokens (user, perm), got {count}"
-            ) from None
-        bit = bits.get(p_tok)
-        if bit is None:
-            bit = bits[p_tok] = 1 << len(bits)
-        u = users.get(u_tok)
-        if u is None:
-            users[u_tok] = len(masks)
-            masks.append(bit)
-        else:
-            masks[u] |= bit
+    for first, lines in _chunks(text):
+        for raw in lines:
+            try:
+                u_tok, p_tok = raw.split()
+            except ValueError:
+                count = len(raw.split())
+                if not count:
+                    continue
+                # An equal line before this one would have raised already.
+                raise ParseError(
+                    first + lines.index(raw),
+                    f"expected 2 tokens (user, perm), got {count}",
+                ) from None
+            bit = bits.get(p_tok)
+            if bit is None:
+                bit = bits[p_tok] = 1 << len(bits)
+            u = users.get(u_tok)
+            if u is None:
+                users[u_tok] = len(masks)
+                masks.append(bit)
+            else:
+                masks[u] |= bit
     matrix = AccessMatrix(n_users=len(users), n_perms=len(bits), masks=tuple(masks))
     return SparseParseResult(matrix, tuple(users), tuple(bits))
 

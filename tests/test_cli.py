@@ -27,6 +27,7 @@ from rolemine import (
     parse_dense,
     parse_sparse,
     serialize_catalog,
+    serialize_dense,
     serialize_sparse,
 )
 from rolemine import _rowindex, cli
@@ -530,6 +531,35 @@ def test_mine_output_does_not_depend_on_the_hash_seed(tmp_path, algo):
         names = Path(f"{out}.names.json").read_bytes()
         outputs.append((out.read_bytes(), names, report))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("fmt", ["sparse", "dense"])
+def test_mine_ignores_a_byte_order_mark(tmp_path, fmt):
+    upa, truth = generate(GeneratorParams(
+        n_users=30, n_perms=12, n_roles=5,
+        max_roles_per_user=2, max_perms_per_role=4, seed=4,
+    ))
+    serialize = serialize_sparse if fmt == "sparse" else serialize_dense
+    upa_path, truth_path = tmp_path / "upa.txt", tmp_path / "truth.txt"
+    out, metrics = tmp_path / "out.txt", tmp_path / "m.json"
+    names = Path(f"{out}.names.json")
+    outputs = []
+    for mark in ("", "\ufeff"):
+        upa_path.write_text(mark + serialize(upa), encoding="utf-8")
+        truth_path.write_text(mark + serialize_catalog(truth), encoding="utf-8")
+        proc = run_cli(
+            "mine", "--algo", "constrained", "--k", "3", "--format", fmt,
+            "--input", str(upa_path), "--truth", str(truth_path),
+            "--output", str(out), "--metrics", str(metrics),
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(metrics.read_text())
+        del report["elapsed_ms"]
+        sidecar = names.read_bytes() if names.exists() else None
+        outputs.append((out.read_bytes(), report, sidecar))
+    assert outputs[1] == outputs[0]
+    assert outputs[0][1]["accuracy"] is not None
+    assert (outputs[0][2] is not None) == (fmt == "sparse")
 
 
 def test_mine_no_lattice_and_dense_input(tmp_path):

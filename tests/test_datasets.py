@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from rolemine import (
     serialize_sparse,
     witness_assignment,
 )
+from rolemine import datasets
 from rolemine.datasets import (
     SparseParseResult,
     names_are_indices,
@@ -102,20 +104,77 @@ _SPARSE_TEXT = st.one_of(
     st.lists(
         st.text(alphabet="ab01 \t#\r\x0b\x1c\u2028", max_size=8), max_size=12
     ).map("\n".join),
+    # well-formed pairs whose users come back after another user's lines
+    st.lists(
+        st.sampled_from(["a 0", "a 1", "b 1", "b 2", "c 0", "# a 2", ""]),
+        max_size=12,
+    ).map("\n".join),
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(_SPARSE_TEXT)
-def test_parse_sparse_fuzz_gives_result_or_parse_error(text):
+# Chunk sizes for the parsers' chunk reader: the tiny ones put cuts inside
+# every drawn text, and the default leaves each drawn text whole.
+_CUTS = st.sampled_from((1, 2, 5, datasets._CHUNK))
+
+
+def _cut_every(chunk):
+    """Patch the chunk reader to cut `chunk` characters past each cut."""
+    return mock.patch.object(datasets, "_CHUNK", chunk)
+
+
+def _same_as_reference(parse, reference, text):
     try:
-        want = _reference_parse_sparse(text)
+        want = reference(text)
     except ParseError as exc:
         with pytest.raises(ParseError) as err:
-            parse_sparse(text)
+            parse(text)
         assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
     else:
-        assert parse_sparse(text) == want
+        assert parse(text) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPARSE_TEXT, _CUTS)
+def test_parse_sparse_fuzz_gives_result_or_parse_error(text, chunk):
+    with _cut_every(chunk):
+        _same_as_reference(parse_sparse, _reference_parse_sparse, text)
+
+
+def test_parse_sparse_reads_the_lines_just_after_a_cut():
+    # 300 lines of 10 characters: with 999-character chunks the first cut
+    # falls at the newline of line 100, so lines 101-103 open a chunk.
+    lines = [f"u{i // 7:03d} p{i % 50:03d}" for i in range(300)]
+    lines[100:100] = ["# a note", "", "u001 p001 p002"]
+    text = "\n".join(lines) + "\n"
+    with _cut_every(999):
+        first, opening = list(datasets._chunks(text))[1]
+        assert (first, opening[:3]) == (101, ["", "", "u001 p001 p002"])
+        with pytest.raises(ParseError) as err:
+            parse_sparse(text)
+        assert err.value.line_no == 103
+        _same_as_reference(parse_sparse, _reference_parse_sparse, text)
+        del lines[102]
+        _same_as_reference(parse_sparse, _reference_parse_sparse, "\n".join(lines))
+
+
+def test_parse_sparse_memory_does_not_grow_with_the_line_count():
+    upa, _ = generate(GeneratorParams(
+        n_users=5000, n_perms=500, n_roles=120,
+        max_roles_per_user=4, max_perms_per_role=20, seed=99,
+    ))
+    text = serialize_sparse(upa)
+    assert text.count("\n") == 120906
+    tracemalloc.start()
+    try:
+        result = parse_sparse(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.matrix.cell_count() == 120906
+    # Every line of this 1.27 M-character text at once takes about 8 MB;
+    # one 64 K chunk's lines take well under 1 MB.
+    assert peak - kept < 2_000_000
+
 
 def test_names_are_indices_detection():
     assert not names_are_indices(("alice", "0"))
@@ -198,16 +257,10 @@ _DENSE_TEXT = st.one_of(
 
 
 @settings(max_examples=500, deadline=None)
-@given(_DENSE_TEXT)
-def test_parse_dense_matches_per_character_reference(text):
-    try:
-        want = _reference_parse_dense(text)
-    except ParseError as exc:
-        with pytest.raises(ParseError) as err:
-            parse_dense(text)
-        assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
-    else:
-        assert parse_dense(text) == want
+@given(_DENSE_TEXT, _CUTS)
+def test_parse_dense_matches_per_character_reference(text, chunk):
+    with _cut_every(chunk):
+        _same_as_reference(parse_dense, _reference_parse_dense, text)
 
 
 def test_serialize_dense_matches_per_bit_reference():
@@ -355,13 +408,16 @@ _NO_DIGITS = st.text(st.characters(exclude_categories=("Nd",)))
 
 
 def _result_or_parse_error(parse, text, *allowed):
+    """parse(text)'s result, or the type and message of the ParseError or
+    `allowed` error it raised."""
     try:
-        parse(text)
+        return parse(text)
     except ParseError as exc:
         assert exc.line_no >= 1
         assert str(exc).startswith(f"line {exc.line_no}: ")
-    except allowed:
-        pass
+        return ParseError, str(exc)
+    except allowed as exc:
+        return type(exc), str(exc)
 
 
 @settings(max_examples=300, deadline=None)
@@ -374,17 +430,22 @@ def test_parse_dense_fuzz_gives_result_or_parse_error(text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.text(), _LINE_SOUP))
-def test_parse_catalog_fuzz_gives_result_or_parse_error(text):
-    _result_or_parse_error(parse_catalog, text)
+@given(st.one_of(st.text(), _LINE_SOUP), _CUTS)
+def test_parse_catalog_fuzz_gives_result_or_parse_error(text, chunk):
+    whole = _result_or_parse_error(parse_catalog, text)
+    with _cut_every(chunk):
+        assert _result_or_parse_error(parse_catalog, text) == whole
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_NO_DIGITS, _LINE_SOUP), st.integers(0, 3))
-def test_parse_decomposition_fuzz_gives_result_or_parse_error(text, n_users):
-    _result_or_parse_error(
-        lambda t: parse_decomposition(t, n_users), text, InvalidDecompositionError
-    )
+@given(st.one_of(_NO_DIGITS, _LINE_SOUP), st.integers(0, 3), _CUTS)
+def test_parse_decomposition_fuzz_gives_result_or_parse_error(text, n_users, chunk):
+    def parse(t):
+        return parse_decomposition(t, n_users)
+
+    whole = _result_or_parse_error(parse, text, InvalidDecompositionError)
+    with _cut_every(chunk):
+        assert _result_or_parse_error(parse, text, InvalidDecompositionError) == whole
 
 
 @pytest.mark.parametrize("perm", ["p100000000", "p98765432109876543210"])
