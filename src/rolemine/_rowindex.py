@@ -24,8 +24,10 @@ from its `row_groups`, and keeps it, so both miners, `initial_candidates`
 and every later call on that matrix share one build.  The miners hand it
 to the stage cores; CRM starts its uncovered-cell bitmaps and permission
 frequencies from copies of it.  Every field is a tuple, each user group
-too: no consumer can change a shared index, and once a collection has run
-the garbage collector tracks the index object alone.
+too: no consumer can change a shared index, and once collections have run
+the garbage collector tracks the index object alone.  (A collection
+untracks a tuple only if its items are untracked when it reaches the
+tuple, so the tuple of user tuples may wait for a second one.)
 
 `row_groups` is the one place users are grouped; it only groups, and the
 index sorts its groups.  The miners group by row.  The public stages take
@@ -34,7 +36,9 @@ and group by the assigned role set, which fixes the row; `lattice_reduce`
 indexes those groups per call.
 
 Every stage's result comes from one builder, `rebuild`, given the roles
-still held and the role ids of each group.  The miners reach it through
+still held and the role ids of each group.  Between stages a group's role
+ids are a plain list, each id once: a row holds a few small ids, and a list
+of them costs a fraction of a set's hash table.  The miners reach it through
 `mined`, which builds a `Role` only for each mask still held, with its
 position as its id.  The public stages reach it through `staged`, the one
 adapter that runs a stage core on any complete decomposition: it indexes
@@ -67,16 +71,19 @@ def rebuild(
     ``users[g]``, and a user in no group gets no roles."""
     ua: list[frozenset[int]] = [frozenset()] * n_users
     for group, ids in zip(users, held):
-        shared = frozenset(ids)
+        # Through a set: a frozenset copies a set's table at the size its
+        # count needs, but grows item by item from a list, to twice that
+        # table for 5 to 7 ids.
+        shared = frozenset(set(ids))
         for u in group:
             ua[u] = shared
     return Decomposition(roles=tuple(roles), ua=tuple(ua))
 
 
 def mined(
-    upa: AccessMatrix, masks: Sequence[int], held: Sequence[set[int]]
+    upa: AccessMatrix, masks: Sequence[int], held: Sequence[list[int]]
 ) -> Decomposition:
-    """A miner's result: role i is ``masks[i]`` with id i, ``held[g]`` holds
+    """A miner's result: role i is ``masks[i]`` with id i, ``held[g]`` lists
     the roles of row position g of the matrix's index, and a `Role` is built
     only for each mask still held."""
     live = set().union(*held)
@@ -89,7 +96,7 @@ def staged(
     d: Decomposition,
     masks: dict[int, int],
     users: Sequence[Sequence[int]],
-    core: Callable[[RowIndex, list[set[int]]], None],
+    core: Callable[[RowIndex, list[list[int]]], None],
 ) -> Decomposition:
     """A public stage's result: `core` run on the complete decomposition `d`,
     whose role masks by id are `masks`, as `complete_masks` returns them.
@@ -97,16 +104,16 @@ def staged(
     ``users[g]`` is a group of users holding one role set in `d`.  The
     stage's catalog is a `RowIndex` of one `(mask, (role id,))` pair per
     role, so position i numbers `d`'s roles in cover order (`cover_key`);
-    ``core(catalog, held)`` updates ``held[g]``, the positions group g
-    holds, in place.  A stage hands a dropped role's groups other roles and
-    never takes a kept role from its last group, so the roles still held
-    are the ones kept; they stay in `d`'s order.
+    ``core(catalog, held)`` updates ``held[g]``, the list of positions
+    group g holds, each once, in place.  A stage hands a dropped role's
+    groups other roles and never takes a kept role from its last group, so
+    the roles still held are the ones kept; they stay in `d`'s order.
     """
     catalog = RowIndex([(masks[r.id], (r.id,)) for r in d.roles], upa.n_perms)
     position = {rid: i for i, (rid,) in enumerate(catalog.users)}
-    held = [{position[rid] for rid in d.ua[group[0]]} for group in users]
+    held = [[position[rid] for rid in d.ua[group[0]]] for group in users]
     core(catalog, held)
-    assigned = [{catalog.users[i][0] for i in roles} for roles in held]
+    assigned = [[catalog.users[i][0] for i in roles] for roles in held]
     live = set().union(*assigned)
     return rebuild([r for r in d.roles if r.id in live], assigned, users, upa.n_users)
 

@@ -20,10 +20,12 @@ bitmap column per permission and the user frequency of each permission.
 The candidates are the index rows; a candidate's id is its rank in (size
 ascending, smallest user) order.  Every user of a row holds the same roles
 through union elimination, the split and the lattice, so assignments are
-kept per row.  After one lattice sweep (`lattice.reduce_rows`), unless it
-is disabled, the result function shared with CRM (`_rowindex.mined`)
-builds a `Role` for each catalog mask still held and expands the rows to
-users once.
+kept per row, as a list of catalog role ids, each once.  Union
+elimination's stand-ins stay sets, as they are unions; each row's list is
+its stand-ins' pieces, and the stand-ins are dropped before the lattice.
+After one lattice sweep (`lattice.reduce_rows`), unless it is disabled,
+the result function shared with CRM (`_rowindex.mined`) builds a `Role`
+for each catalog mask still held and expands the rows to users once.
 
 Union elimination reads "which candidates lie inside candidate r" from the
 index.  r's strict supersets are larger, so they sit before r: they are
@@ -165,9 +167,9 @@ def eliminate_union_roles(
             "eliminate_union_roles requires a complete decomposition"
         )
 
-    def core(catalog: RowIndex, held: list[set[int]]) -> None:
+    def core(catalog: RowIndex, held: list[list[int]]) -> None:
         stand_ins = _eliminate(catalog)
-        held[:] = [{s for i in roles for s in stand_ins[i]} for roles in held]
+        held[:] = [list({s for i in roles for s in stand_ins[i]}) for roles in held]
 
     # Group order cannot change the result: each user's set is written.
     return staged(upa, d, masks, [users for _, users in row_groups(upa, d.ua)], core)
@@ -232,7 +234,9 @@ def mine_constrained(
             _add(mask_of(c)) for c in chunks
         )
 
-    roles = [{j for c in cands for j in pieces[c]} for cands in held]
+    # Each row lists its stand-ins' pieces once; the stand-ins go here.
+    roles = [list({j for c in cands for j in pieces[c]}) for cands in held]
+    del held
     if lattice:
         reduce_rows(cat_masks, index, roles)
     return mined(upa, cat_masks, roles)

@@ -52,10 +52,11 @@ entry stays valid.  The output is that of re-clustering and
 re-truncating every round.
 
 Roles are kept as masks, and a `Role` is built only for each one still
-held at the end; assignments are kept per row.  With the lattice on, a
-per-row check that each row's roles union to its mask comes first, the
-same check (`model._rows_covered`) that completeness runs per user.  Then
-one lattice sweep (`lattice.reduce_rows`) runs over the index.  It
+held at the end; assignments are kept per row, as a list of role ids in
+pick order (a row takes each pick once, so no id repeats).  With the
+lattice on, a per-row check that each row's roles union to its mask comes
+first, the same check (`model._rows_covered`) that completeness runs per
+user.  Then one lattice sweep (`lattice.reduce_rows`) runs over the index.  It
 equals `lattice_reduce` on the raw output, which runs the same sweep on
 the raw output's role-set groups through the public stages' adapter
 (`_rowindex.staged`).  The result function shared with the constrained
@@ -81,9 +82,9 @@ from .model import (
 )
 
 
-def _greedy(index: RowIndex, k: int) -> tuple[list[int], list[set[int]]]:
+def _greedy(index: RowIndex, k: int) -> tuple[list[int], list[list[int]]]:
     """The cover loop over the index rows: each role's mask and each row's
-    set of role ids."""
+    list of role ids, in the order they were picked."""
     n = len(index.columns)
     rank = [p - f * n for p, f in enumerate(index.freq)]
     # uncovered[p]: the rows still missing permission p.
@@ -113,7 +114,7 @@ def _greedy(index: RowIndex, k: int) -> tuple[list[int], list[set[int]]]:
     cands: dict[int, int] = {}
 
     role_masks: list[int] = []
-    held: list[set[int]] = [set() for _ in mask_at]
+    held: list[list[int]] = [[] for _ in mask_at]
     while clusters:
         while not tiers[keys[0]]:
             del tiers[heapq.heappop(keys)]
@@ -144,7 +145,7 @@ def _greedy(index: RowIndex, k: int) -> tuple[list[int], list[set[int]]]:
         assert holders > 0, "the picked cluster holds its candidate"
         moved = 0
         for r in perm_tuple(holders):
-            held[r].add(rid)
+            held[r].append(rid)
             if not reps[r]:
                 continue
             m = mask_at[r]

@@ -39,6 +39,11 @@ scan in the same order.  Holders are visited in fitting-row order, and
 the first whose walk fails keeps the role with nothing changed; only when
 every holder passes does the role leave the lists and its holders swap
 it for their picks.
+
+A group's held roles are a plain list, each role once, and the swap is a
+`remove` and a `+=`.  No list gains a duplicate: a walk never takes a role
+its group already holds, as that role's mask lies in the union of the
+other held roles, so it cannot meet `rest`.
 """
 
 from __future__ import annotations
@@ -57,12 +62,12 @@ from .model import (
 )
 
 
-def reduce_rows(masks: Sequence[int], index: RowIndex, held: list[set[int]]) -> None:
+def reduce_rows(masks: Sequence[int], index: RowIndex, held: list[list[int]]) -> None:
     """The lattice pass over row groups, in one sweep.
 
-    Roles are given by mask; `index` holds the groups.  ``held[g]`` is the
-    set of roles group g holds and is updated in place; every role held
-    must fit its group.
+    Roles are given by mask; `index` holds the groups.  ``held[g]`` lists
+    the roles group g holds, each once, and is updated in place; every role
+    held must fit its group.
     """
     order = sorted(range(len(masks)), key=lambda i: cover_key(masks[i]))
     fit_rows: list[tuple[int, ...]] = [()] * len(masks)
@@ -77,8 +82,8 @@ def reduce_rows(masks: Sequence[int], index: RowIndex, held: list[set[int]]) -> 
     # the test once fails it for good.
     for i in order:
         m = masks[i]
-        # Each holder's role set and the roles its walk takes.
-        picks: list[tuple[set[int], list[int]]] = []
+        # Each holder's role list and the roles its walk takes.
+        picks: list[tuple[list[int], list[int]]] = []
         # A held role fits its group, so its holders are among the rows it
         # fits.
         for g in fit_rows[i]:
@@ -101,8 +106,8 @@ def reduce_rows(masks: Sequence[int], index: RowIndex, held: list[set[int]]) -> 
             # A walk skips i and reads only its own group's roles, so its
             # picks hold after i leaves and the other groups change.
             for roles, taken in picks:
-                roles.discard(i)
-                roles.update(taken)
+                roles.remove(i)
+                roles += taken
 
 
 def lattice_reduce(upa: AccessMatrix, d: Decomposition, k: int) -> Decomposition:

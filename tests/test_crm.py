@@ -66,7 +66,7 @@ def test_crm_rejects_a_greedy_result_that_leaves_a_row_uncovered(monkeypatch):
 
     def dropping(index, k):
         role_masks, held = greedy(index, k)
-        held[0].discard(min(held[0]))
+        held[0].remove(min(held[0]))
         return role_masks, held
 
     monkeypatch.setattr(rolemine.crm, "_greedy", dropping)

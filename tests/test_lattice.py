@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rolemine.constrained
+import rolemine.crm
+import rolemine.lattice
 from rolemine import (
     AccessMatrix,
     ConstraintViolationError,
@@ -262,7 +265,7 @@ def _reference_reduce_rows(masks, index, held):
             fits[g].remove(i)
         for g in holders:
             roles = held[g]
-            roles.discard(i)
+            roles.remove(i)
             still = 0
             for other in roles:
                 still |= masks[other]
@@ -271,7 +274,7 @@ def _reference_reduce_rows(masks, index, held):
                 continue
             for cand in fits[g]:
                 if masks[cand] & remainder:
-                    roles.add(cand)
+                    roles.append(cand)
                     remainder &= ~masks[cand]
                     if not remainder:
                         break
@@ -280,19 +283,73 @@ def _reference_reduce_rows(masks, index, held):
 
 def _sweeps_agree(upa, d):
     """Run both sweeps on the groups of `d` through the public stages'
-    adapter, check that their held sets agree and return the held sets
-    before and after the sweep."""
+    adapter, check that their held lists agree, in order, and hold no role
+    twice, and return the held lists before and after the sweep."""
     index = RowIndex(row_groups(upa, d.ua), upa.n_perms)
     runs = []
     for sweep in (_reference_reduce_rows, reduce_rows):
         def core(catalog, held, sweep=sweep):
-            runs.append([set(roles) for roles in held])
+            runs.append([list(roles) for roles in held])
             sweep(catalog.masks, index, held)
             runs.append(held)
         staged(upa, d, complete_masks(upa, d), index.users, core)
     before, expected, _, held = runs
     assert held == expected
+    assert not _rows_holding_a_role_twice(before + held)
     return before, held
+
+
+def _rows_holding_a_role_twice(held):
+    """The lists of `held` that hold some role more than once."""
+    return [roles for roles in held if len(set(roles)) != len(roles)]
+
+
+def _checked_sweeps(monkeypatch):
+    """Make the `reduce_rows` that both miners and `lattice_reduce` call
+    check, before and after the sweep, that no row's list holds a role
+    twice; returns the list each checked sweep appends its caller to."""
+    checked = []
+
+    def checking_in(caller):
+        def checking(masks, index, held):
+            assert not _rows_holding_a_role_twice(held)
+            reduce_rows(masks, index, held)
+            assert not _rows_holding_a_role_twice(held)
+            checked.append(caller)
+        return checking
+
+    for module in (rolemine.constrained, rolemine.crm, rolemine.lattice):
+        monkeypatch.setattr(module, "reduce_rows", checking_in(module.__name__))
+    return checked
+
+
+def _mine_and_reduce(upa, k):
+    """Both miners with the lattice on, then `lattice_reduce` on each
+    miner's raw output."""
+    cfg = MiningConfig(max_perms_per_role=k)
+    for miner in (mine_constrained, mine_crm):
+        miner(upa, cfg)
+        lattice_reduce(upa, miner(upa, cfg, lattice=False), k)
+
+
+@pytest.mark.parametrize("k", [2, 5, 20])
+def test_no_row_list_holds_a_role_twice_on_guard(monkeypatch, k):
+    # The invariant the list form rests on: a walk never takes a role its
+    # row already holds.
+    checked = _checked_sweeps(monkeypatch)
+    _mine_and_reduce(guard_instance(), k)
+    assert checked == [
+        "rolemine.constrained", "rolemine.lattice", "rolemine.crm", "rolemine.lattice"
+    ]
+
+
+def test_no_row_list_holds_a_role_twice_on_shape_draws(monkeypatch):
+    checked = _checked_sweeps(monkeypatch)
+    draws = list(shape_draws(5151, 30, min_users=5, max_users=80,
+                             min_perms=5, max_perms=40))
+    for upa, _, k in draws:
+        _mine_and_reduce(upa, k)
+    assert len(checked) == 4 * len(draws)
 
 
 def test_sweep_matches_two_walk_reference_on_mined_outputs():
