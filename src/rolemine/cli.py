@@ -150,8 +150,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
     else:  # a stale sidecar would name tokens this input does not have
         Path(names_path).unlink(missing_ok=True)
     _log(
-        f"{args.algo}: {d.r_count()} roles, |UA|={d.ua_size()}, "
-        f"|PA|={d.pa_size()}, {report.elapsed_ms:.1f} ms, "
+        f"{args.algo}: {report.r_count} roles, |UA|={report.ua_size}, "
+        f"|PA|={report.pa_size}, {report.elapsed_ms:.1f} ms, "
         f"lower bound {role_lower_bound(upa, args.k)}"
     )
     sys.stdout.write(payload)
@@ -211,9 +211,6 @@ def _compare_cell(name, upa, truth, algo, k, seed, lattice) -> list[str]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    if bool(args.input) == bool(args.gen_spec):
-        _log("error: provide exactly one of --input or --gen-spec")
-        return 2
     if _paths_clash({"--out": args.out}, {"--input": args.input}):
         return 2
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
@@ -224,7 +221,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if algo not in _MINERS:
             _log(f"error: unknown algorithm {algo!r}")
             return 2
-    if args.input:
+    if args.gen_spec is None:
         upa, _ = _load_matrix(args.input, args.format)
         name, truth = args.input, None
     else:
@@ -318,9 +315,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     comp = sub.add_parser("compare", help="run algorithms side by side, emit CSV")
-    comp.add_argument("--input")
+    source = comp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input")
+    source.add_argument("--gen-spec")
     comp.add_argument("--format", choices=("sparse", "dense"), default="sparse")
-    comp.add_argument("--gen-spec")
     comp.add_argument("--k-list", required=True, type=_k_list)
     comp.add_argument("--algos", default="constrained,crm")
     comp.add_argument("--out", required=True)

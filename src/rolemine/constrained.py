@@ -38,17 +38,8 @@ subsets all sit later, so the outcome depends on the masks alone.
 Visited last to first, r's stand-ins are {r} if it is kept, else the
 union of its cover members' stand-ins, already known.
 
-Split policy for an oversized candidate: greedily take existing roles that
-fit inside the uncovered remainder (largest first, ties by lexicographically
-smallest permission tuple), then cut what is left into consecutive chunks of
-at most k permissions, ordered by descending global permission frequency in
-the matrix (ties by ascending index).  Grouping frequent permissions keeps
-chunks reusable for later candidates.  A pool role that does not fit the
-remainder never fits again, so one pass over the pool in that order makes
-the same picks as repeatedly taking the best fitting role.  The catalog only
-grows: no chunk equals a catalog role, which would have been taken first.
-It is a list of masks alone, scanned for the masks inside the candidate;
-the pool is sorted by each mask's cover key, with no decode.
+Step 3 for one kept candidate is `_split`, the only code that appends
+to the catalog, a list of masks in which a role's id is its position.
 
 The public stages run the same cores on their arguments.
 `initial_candidates` reads the matrix's index and decodes each candidate's
@@ -175,28 +166,46 @@ def eliminate_union_roles(
     return staged(upa, d, masks, [users for _, users in row_groups(upa, d.ua)], core)
 
 
-def _split(
-    mask: int, pool: Sequence[int], k: int, freq: Sequence[int]
-) -> tuple[list[int], list[list[int]]]:
-    """Cover an oversized mask: the positions of the pool masks taken, then
-    the fresh chunks of what is left.
+def _split(mask: int, catalog: list[int], k: int, freq: Sequence[int]) -> list[int]:
+    """Step 3 for one kept candidate: the catalog positions of its pieces,
+    appending to `catalog` the ones that are new.
 
-    `pool` holds masks inside `mask` in cover order, largest first and ties
-    by permission tuple.  A mask that does not fit the remainder never fits
-    again, since the remainder only shrinks, so one pass in that order takes
-    what repeatedly taking the first fitting mask would.
+    A candidate of at most k permissions is appended as itself.  A larger
+    one greedily takes the catalog masks that fit inside the uncovered
+    remainder, largest first with ties by permission tuple (`cover_key`),
+    then cuts what is left into consecutive chunks of at most k
+    permissions, ordered by descending user frequency of the permission in
+    the matrix, ties by ascending index; grouping frequent permissions
+    keeps chunks reusable for later candidates.  The pieces are the
+    reused positions, then the new ones.  A mask that does not fit the
+    remainder never fits again, as the remainder only shrinks, so one pass
+    over the masks inside the candidate, sorted by their cover keys with no
+    decode, makes the same picks as repeatedly taking the first that fits.
+
+    No chunk equals a catalog mask, so the catalog only grows: such a mask
+    lies in the candidate and, at its turn, in the remainder, so the walk
+    takes it first.  A candidate within k is new too, as the caller visits
+    the distinct rows smallest first, so before any chunk exists.
     """
-    taken = []
+    if mask.bit_count() <= k:
+        catalog.append(mask)
+        return [len(catalog) - 1]
+    outside = ~mask
+    pool = [c for c, e in enumerate(catalog) if not e & outside]
+    pool.sort(key=lambda c: cover_key(catalog[c]))
+    pieces = []
     remainder = mask
-    for i, e in enumerate(pool):
-        if e & ~remainder == 0:
-            taken.append(i)
-            remainder &= ~e
+    for c in pool:
+        if not catalog[c] & ~remainder:
+            pieces.append(c)
+            remainder &= ~catalog[c]
             if not remainder:
                 break
     leftover = sorted(perm_tuple(remainder), key=lambda p: (-freq[p], p))
-    chunks = [leftover[i : i + k] for i in range(0, len(leftover), k)]
-    return taken, chunks
+    for i in range(0, len(leftover), k):
+        pieces.append(len(catalog))
+        catalog.append(mask_of(leftover[i : i + k]))
+    return pieces
 
 
 def mine_constrained(
@@ -210,29 +219,11 @@ def mine_constrained(
     held = _eliminate(index)
 
     cat_masks: list[int] = []
-
-    def _add(m: int) -> int:
-        # `m` is new: small candidates are distinct rows and come first, and
-        # a catalog role equal to a chunk lies in the candidate, so in the
-        # pool, and in the remainder at its turn, so `_split` takes it.
-        cat_masks.append(m)
-        return len(cat_masks) - 1
-
-    pieces: dict[int, tuple[int, ...]] = {}
-    for i in candidate_order(index.masks, index.users):
-        if i not in held[i]:
-            continue
-        m = index.masks[i]
-        if m.bit_count() <= k:
-            pieces[i] = (_add(m),)
-            continue
-        outside = ~m
-        pool = [c for c, e in enumerate(cat_masks) if not e & outside]
-        pool.sort(key=lambda c: cover_key(cat_masks[c]))
-        taken, chunks = _split(m, [cat_masks[c] for c in pool], k, index.freq)
-        pieces[i] = tuple(pool[j] for j in taken) + tuple(
-            _add(mask_of(c)) for c in chunks
-        )
+    pieces = {
+        i: _split(index.masks[i], cat_masks, k, index.freq)
+        for i in candidate_order(index.masks, index.users)
+        if i in held[i]
+    }
 
     # Each row lists its stand-ins' pieces once; the stand-ins go here.
     roles = [list({j for c in cands for j in pieces[c]}) for cands in held]

@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -231,6 +232,31 @@ def test_mine_reports_lower_bound_on_stderr_only(tmp_path, sparse_file):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.rstrip().endswith(", lower bound 2")
     assert "lower bound" not in proc.stdout + metrics.read_text() + out.read_text()
+
+
+@pytest.mark.parametrize("algo", ["constrained", "crm"])
+def test_mine_summary_counts_equal_the_metrics(tmp_path, algo):
+    upa, _ = generate(GeneratorParams(
+        n_users=80, n_perms=30, n_roles=8, max_roles_per_user=3,
+        max_perms_per_role=6, seed=4,
+    ))
+    data = tmp_path / "upa.txt"
+    data.write_text(serialize_sparse(upa))
+    metrics = tmp_path / "metrics.json"
+    proc = run_cli(
+        "mine", "--algo", algo, "--k", "3", "--input", str(data),
+        "--output", str(tmp_path / "roles.txt"), "--metrics", str(metrics),
+    )
+    assert proc.returncode == 0, proc.stderr
+    blob = json.loads(metrics.read_text())
+    summary = re.fullmatch(
+        rf"{algo}: (\d+) roles, \|UA\|=(\d+), \|PA\|=(\d+), .*\n", proc.stderr
+    )
+    assert summary is not None, proc.stderr
+    assert [int(x) for x in summary.groups()] == [
+        blob["r_count"], blob["ua_size"], blob["pa_size"]
+    ]
+    assert blob["r_count"] > 1 and blob["ua_size"] > blob["r_count"]
 
 
 def test_mine_unknown_algo_is_usage_error(tmp_path, sparse_file):
@@ -463,13 +489,18 @@ def test_compare_gen_spec_rejects_repeated_key(tmp_path):
 
 
 def test_compare_needs_exactly_one_source(tmp_path, sparse_file):
-    proc = run_cli("compare", "--k-list", "2", "--out", str(tmp_path / "t.csv"))
+    out = tmp_path / "t.csv"
+    proc = run_cli("compare", "--k-list", "2", "--out", str(out))
     assert proc.returncode == 2
+    assert "--input" in proc.stderr and "--gen-spec" in proc.stderr
+    assert not out.exists()
     proc = run_cli(
         "compare", "--input", str(sparse_file), "--gen-spec", "n_users=3",
-        "--k-list", "2", "--out", str(tmp_path / "t.csv"),
+        "--k-list", "2", "--out", str(out),
     )
     assert proc.returncode == 2
+    assert "--input" in proc.stderr and "--gen-spec" in proc.stderr
+    assert not out.exists()
 
 
 def test_compare_gen_spec_includes_truth_metrics(tmp_path):

@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import operator
 from itertools import combinations
 
 import pytest
@@ -382,9 +384,11 @@ def test_public_stage_bytes_pinned(k, digest):
 # --- _split -------------------------------------------------------------------
 
 def _pieces(candidate, pool, k, freq):
-    """_split on permission sets: the pool sets taken, then the chunks."""
-    taken, chunks = _split(mask_of(candidate), [mask_of(e) for e in pool], k, freq)
-    return [pool[i] for i in taken] + [frozenset(c) for c in chunks]
+    """_split on permission sets over a catalog of the pool sets: the
+    catalog sets taken, then the chunks."""
+    catalog = [mask_of(e) for e in pool]
+    positions = _split(mask_of(candidate), catalog, k, freq)
+    return [frozenset(perm_tuple(catalog[c])) for c in positions]
 
 
 def test_split_plain_chunks():
@@ -419,6 +423,68 @@ def test_split_frequency_ordering():
     freq = [1, 1, 5, 1, 9]
     got = _pieces({0, 2, 4}, [], 2, freq)
     assert got == [frozenset({4, 2}), frozenset({0})]
+
+
+@st.composite
+def _split_cases(draw):
+    """A candidate mask, a catalog in which some masks lie inside it and
+    some repeat, k, permission frequencies and a shuffle of the catalog."""
+    n_perms = draw(st.integers(1, 10))
+    masks = st.integers(1, (1 << n_perms) - 1)
+    mask = draw(masks)
+    inside = masks.map(lambda m: m & mask).filter(bool)
+    catalog = draw(st.lists(st.one_of(masks, inside), max_size=16))
+    catalog += draw(st.lists(st.sampled_from(catalog), max_size=3)) if catalog else []
+    k = draw(st.integers(1, n_perms))
+    freq = draw(st.lists(st.integers(0, 4), min_size=n_perms, max_size=n_perms))
+    shuffle = draw(st.permutations(range(len(catalog))))
+    return mask, catalog, k, freq, shuffle
+
+
+@settings(max_examples=400, deadline=None)
+@given(_split_cases())
+def test_split_keeps_its_contract_on_any_catalog(case):
+    mask, catalog, k, freq, shuffle = case
+    before = list(catalog)
+    positions = _split(mask, catalog, k, freq)
+    got = [catalog[c] for c in positions]
+    # The catalog only grows, and only by the positions returned.
+    assert catalog[: len(before)] == before
+    fresh = [c for c in positions if c >= len(before)]
+    assert fresh == list(range(len(before), len(catalog)))
+    if mask.bit_count() <= k:
+        assert positions == [len(before)] and catalog[-1] == mask
+    else:
+        for c in fresh:
+            assert catalog[c].bit_count() <= k and catalog[c] not in before
+    assert all(c < len(before) for c in positions[: len(positions) - len(fresh)])
+    # A mask that is not inside the candidate is never taken.
+    assert all(not catalog[c] & ~mask for c in positions)
+    # The pieces are disjoint and union to the candidate.
+    assert sum(m.bit_count() for m in got) == mask.bit_count()
+    assert functools.reduce(operator.or_, got, 0) == mask
+    # Read as masks, the pieces do not depend on the catalog's order.
+    shuffled = [before[i] for i in shuffle]
+    assert [shuffled[c] for c in _split(mask, shuffled, k, freq)] == got
+
+
+def test_split_never_appends_a_mask_twice_while_mining():
+    # The catalog `mine_constrained` grows holds each mask once: every
+    # candidate within k is a distinct row visited before any chunk.
+    catalogs = []
+
+    def recording(mask, catalog, k, freq):
+        if not catalogs or catalogs[-1] is not catalog:
+            catalogs.append(catalog)
+        return _split(mask, catalog, k, freq)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("rolemine.constrained._split", recording)
+        for upa, _, k in shape_draws(2727, 30, min_users=5, max_users=60,
+                                     min_perms=5, max_perms=30):
+            mine_constrained(upa, MiningConfig(max_perms_per_role=k))
+            assert len(set(catalogs[-1])) == len(catalogs[-1])
+    assert len(catalogs) == 60
 
 
 # --- mine_constrained --------------------------------------------------------
