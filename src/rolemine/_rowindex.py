@@ -175,10 +175,17 @@ def cover_key(mask: int) -> tuple[int, bytes]:
     ).translate(_COVER)
 
 
-def candidate_order(masks: Sequence[int], users: Sequence[Sequence[int]]) -> list[int]:
-    """Row positions by (size, smallest user): the candidate order, in which
-    a row's rank is its candidate role's id."""
-    return sorted(range(len(masks)), key=lambda i: (masks[i].bit_count(), users[i][0]))
+def candidate_order(
+    masks: Sequence[int],
+    users: Sequence[Sequence[int]],
+    positions: Iterable[int] | None = None,
+) -> list[int]:
+    """Row `positions` (by default all) by (size, smallest user): the
+    candidate order, in which a row's rank among all rows is its candidate
+    role's id."""
+    if positions is None:
+        positions = range(len(masks))
+    return sorted(positions, key=lambda i: (masks[i].bit_count(), users[i][0]))
 
 
 # Warren's transpose8 (Hacker's Delight, section 7-3): three delta swaps
@@ -247,9 +254,9 @@ class RowIndex:
 
     def containing(self, mask: int, rows: int = -1) -> int:
         """The positions in `rows` (by default all) whose row holds every
-        permission of the nonempty `mask`, as a bitmap: `rows` ANDed with
-        the columns of the mask, decoded from its top bit, ending early once
-        no position is left."""
+        permission of `mask`, as a bitmap: `rows` ANDed with the columns of
+        the mask, decoded from its top bit, ending early once no position
+        is left; an empty mask leaves `rows` as it is."""
         while mask and rows:
             top = mask.bit_length() - 1
             rows &= self.columns[top]

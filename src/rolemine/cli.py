@@ -275,6 +275,14 @@ _SEED = _int_rule(
 )
 
 
+def _path(text: str) -> str:
+    """An argparse type: a file path, which must not be empty, as the empty
+    path would name the current directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("the path must not be empty")
+    return text
+
+
 def _k_list(text: str) -> list[int]:
     """An argparse type: comma-separated values of --k, at least one."""
     k_list = [_K(x) for x in text.split(",") if x.strip()]
@@ -293,11 +301,11 @@ def _build_parser() -> argparse.ArgumentParser:
     mine = sub.add_parser("mine", help="mine one dataset with one algorithm")
     mine.add_argument("--algo", required=True, choices=sorted(_MINERS))
     mine.add_argument("--k", required=True, type=_K)
-    mine.add_argument("--input", required=True)
+    mine.add_argument("--input", required=True, type=_path)
     mine.add_argument("--format", choices=("sparse", "dense"), default="sparse")
-    mine.add_argument("--output", required=True)
-    mine.add_argument("--metrics", required=True)
-    mine.add_argument("--truth")
+    mine.add_argument("--output", required=True, type=_path)
+    mine.add_argument("--metrics", required=True, type=_path)
+    mine.add_argument("--truth", type=_path)
     mine.add_argument("--no-lattice", action="store_true")
     mine.add_argument("--seed", type=_SEED, default=0)
     mine.set_defaults(func=cmd_mine)
@@ -310,18 +318,18 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--max-perms-per-role", required=True, type=int)
     gen.add_argument("--seed", type=_SEED, default=0)
     gen.add_argument("--format", choices=("sparse", "dense"), default="sparse")
-    gen.add_argument("--out-upa", required=True)
-    gen.add_argument("--out-truth", required=True)
+    gen.add_argument("--out-upa", required=True, type=_path)
+    gen.add_argument("--out-truth", required=True, type=_path)
     gen.set_defaults(func=cmd_gen)
 
     comp = sub.add_parser("compare", help="run algorithms side by side, emit CSV")
     source = comp.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input")
+    source.add_argument("--input", type=_path)
     source.add_argument("--gen-spec")
     comp.add_argument("--format", choices=("sparse", "dense"), default="sparse")
     comp.add_argument("--k-list", required=True, type=_k_list)
     comp.add_argument("--algos", default="constrained,crm")
-    comp.add_argument("--out", required=True)
+    comp.add_argument("--out", required=True, type=_path)
     comp.add_argument("--no-lattice", action="store_true")
     comp.add_argument("--seed", type=_SEED, default=0)
     # Kept for compatibility: cells run in order, as threads were slower.
@@ -329,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.set_defaults(func=cmd_compare)
 
     orc = sub.add_parser("oracle", help="exact optimum for tiny instances")
-    orc.add_argument("--input", required=True)
+    orc.add_argument("--input", required=True, type=_path)
     orc.add_argument("--format", choices=("sparse", "dense"), default="sparse")
     orc.add_argument("--k", required=True, type=_K)
     orc.set_defaults(func=cmd_oracle)

@@ -27,19 +27,29 @@ After one lattice sweep (`lattice.reduce_rows`), unless it is disabled,
 the result function shared with CRM (`_rowindex.mined`) builds a `Role`
 for each catalog mask still held and expands the rows to users once.
 
-Union elimination reads "which candidates lie inside candidate r" from the
-index.  r's strict supersets are larger, so they sit before r: they are
-`RowIndex.containing` r's mask among the positions before r.  Inverting
-that lists r's subsets by ascending position, the largest-first order of
-the greedy cover.  One walk over them (`_rowindex.cover`, the lattice's
-walk too), taking each that still meets what is left of r, is both the
-test (it empties the rest iff they union to r) and the cover.  The
-subsets all sit later, so the outcome depends on the masks alone.
-Visited last to first, r's stand-ins are {r} if it is kept, else the
-union of its cover members' stand-ins, already known.
+Union elimination is one pass over the index, last position to first.
+r's strict subsets are smaller, so they sit after r, and each, when
+visited, adds itself to the subset lists of its strict supersets: r's list
+is complete when the pass reaches r, and read backwards it is ascending,
+the largest-first order of the greedy cover.  One walk over it
+(`_rowindex.cover`, the lattice's walk too), taking each subset that still
+meets what is left of r, is both the test (it empties the rest iff they
+union to r) and the cover; the list is then freed.  The subsets all sit
+later, so the outcome depends on the masks alone, and r's stand-ins are
+{r} if it is kept, else the union of its cover members' stand-ins,
+already known.  r's strict supersets sit before r.  A row holds r iff it
+holds each role r's walk took and the permissions they leave, so r's
+supersets are the positions before r in the superset bitmaps of those
+roles, ANDed with the columns of what is left.  The walk's first role is
+s, r's largest strict subset, so this is s's supersets narrowed, and only
+a row with no strict subset asks `RowIndex.containing` for all the
+positions before it.
 
-Step 3 for one kept candidate is `_split`, the only code that appends
-to the catalog, a list of masks in which a role's id is its position.
+Step 3 for one kept candidate, visited in candidate order, is `_split`,
+the only code that appends to the catalog, a list of masks in which a
+role's id is its position, or to the map from each permission to the
+catalog positions whose lowest permission it is, where a split finds its
+pool.
 
 The public stages run the same cores on their arguments.
 `initial_candidates` reads the matrix's index and decodes each candidate's
@@ -111,23 +121,45 @@ def _eliminate(index: RowIndex) -> list[set[int]]:
     visiting order: largest first, ties by permission tuple.  Returns each
     position's stand-ins: ``{i}`` if role i is kept, else the kept roles
     that replace it.
+
+    One pass, last position to first.  A role's strict subsets all sit
+    after it, and each adds itself to the subset lists of its strict
+    supersets when the pass visits it, so role i's list is complete, in
+    descending position order, when the pass reaches i; it is walked
+    backwards, ascending, and freed there.  Role i's strict supersets are
+    larger, so they sit before i.  They come from its walk: a role holds i
+    iff it holds each role the walk took and the permissions those leave,
+    so i's supersets are the positions before i in the superset bitmaps of
+    the roles taken, ANDed with the columns of what is left.  The first
+    role taken is s, i's largest strict subset, so the bitmaps are s's
+    kept to the positions before i, narrowed by the other roles taken
+    instead of the columns of their permissions; a role with no strict
+    subset asks `RowIndex.containing` for all of them.  Kept to the
+    positions before its role, a bitmap is no wider than the role's
+    position.
     """
     masks = index.masks
-    # subs[i]: positions of the roles strictly inside role i, ascending.
-    # Filled for j ascending, so each list is in visiting order already.
-    # Rows are distinct and sorted size descending, so role j's strict
-    # supersets are the rows before j that contain it.
+    # subs[i]: positions of the roles strictly inside role i, descending;
+    # popped when the pass reaches i, so later appends cannot reach it.
     subs: list[list[int]] = [[] for _ in masks]
-    for j, m in enumerate(masks):
-        for i in perm_tuple(index.containing(m, (1 << j) - 1)):
-            subs[i].append(j)
-
+    # sups[i]: bitmap of the positions before i whose role contains role i.
+    sups = [0] * len(masks)
     stand_ins: list[set[int]] = [set()] * len(masks)
-    # Every role in subs[i] sits later than i, so its stand-ins are known.
     for i in reversed(range(len(masks))):
-        taken, rest = cover(i, masks[i], subs[i], masks)
+        inside = subs.pop()
+        taken, rest = cover(i, masks[i], reversed(inside), masks)
         # The walk empties `rest` iff the subsets union to the mask.
         stand_ins[i] = {i} if rest else set().union(*(stand_ins[j] for j in taken))
+        # A role holds role i iff it holds each role taken and what they
+        # leave of i; only those before i can hold it.
+        sup = (1 << i) - 1
+        for j in taken:
+            sup &= sups[j]
+        # An AND's result keeps the memory of its narrower operand, however
+        # few bits it holds; `| 0` copies it at its own width.
+        sups[i] = sup = index.containing(rest, sup) | 0
+        for j in perm_tuple(sup):
+            subs[j].append(i)
     return stand_ins
 
 
@@ -142,14 +174,12 @@ def eliminate_union_roles(
     with covering roles that go too replaced by their own covers.  Subsets
     are all smaller, so the outcome never depends on the order of removal.
 
-    The roles inside each role come from the catalog index that
-    `_rowindex.staged` builds, one `(mask, (role id,))` pair per role, with
-    positions in cover order: a role's strict supersets are larger, so they
-    are the roles before it that are `RowIndex.containing` its mask.
-    Inverted, this gives each role its subsets as an ascending position
-    list, largest first with ties by permission tuple, so the cover
-    (`_rowindex.cover`) is the one a sort of the contained roles would give.
-    A group of users with the same roles takes the union of their stand-ins.
+    The core is `_eliminate` on the catalog index that `_rowindex.staged`
+    builds, one `(mask, (role id,))` pair per role, with positions in cover
+    order, so each role's subsets are walked largest first with ties by
+    permission tuple, and the cover (`_rowindex.cover`) is the one a sort
+    of the contained roles would give.  A group of users with the same
+    roles takes the union of their stand-ins.
     """
     d = Decomposition(roles=tuple(roles), ua=tuple(frozenset(s) for s in ua))
     masks = complete_masks(upa, d)
@@ -166,20 +196,31 @@ def eliminate_union_roles(
     return staged(upa, d, masks, [users for _, users in row_groups(upa, d.ua)], core)
 
 
-def _split(mask: int, catalog: list[int], k: int, freq: Sequence[int]) -> list[int]:
+def _split(
+    mask: int,
+    catalog: list[int],
+    lowest: dict[int, list[int]],
+    k: int,
+    freq: Sequence[int],
+) -> list[int]:
     """Step 3 for one kept candidate: the catalog positions of its pieces,
     appending to `catalog` the ones that are new.
 
-    A candidate of at most k permissions is appended as itself.  A larger
-    one greedily takes the catalog masks that fit inside the uncovered
-    remainder, largest first with ties by permission tuple (`cover_key`),
-    then cuts what is left into consecutive chunks of at most k
-    permissions, ordered by descending user frequency of the permission in
-    the matrix, ties by ascending index; grouping frequent permissions
-    keeps chunks reusable for later candidates.  The pieces are the
-    reused positions, then the new ones.  A mask that does not fit the
-    remainder never fits again, as the remainder only shrinks, so one pass
-    over the masks inside the candidate, sorted by their cover keys with no
+    ``lowest[p]`` lists, ascending, the catalog positions whose mask's
+    lowest permission is p; `_split` extends it wherever it appends, so it
+    is the only code that grows either.  A candidate of at most k
+    permissions is appended as itself.  A larger one greedily takes the
+    catalog masks that fit inside the uncovered remainder, largest first
+    with ties by permission tuple (`cover_key`), then cuts what is left
+    into consecutive chunks of at most k permissions, ordered by descending
+    user frequency of the permission in the matrix, ties by ascending
+    index; grouping frequent permissions keeps chunks reusable for later
+    candidates.  The pieces are the reused positions, then the new ones.
+    A mask inside the candidate has its lowest permission in it, so the
+    pool is the masks inside it among the positions listed under its
+    permissions, each listed once, with no scan of the catalog.  A mask
+    that does not fit the remainder never fits again, as the remainder
+    only shrinks, so one pass over the pool, sorted by cover keys with no
     decode, makes the same picks as repeatedly taking the first that fits.
 
     No chunk equals a catalog mask, so the catalog only grows: such a mask
@@ -187,24 +228,27 @@ def _split(mask: int, catalog: list[int], k: int, freq: Sequence[int]) -> list[i
     takes it first.  A candidate within k is new too, as the caller visits
     the distinct rows smallest first, so before any chunk exists.
     """
-    if mask.bit_count() <= k:
-        catalog.append(mask)
-        return [len(catalog) - 1]
-    outside = ~mask
-    pool = [c for c, e in enumerate(catalog) if not e & outside]
-    pool.sort(key=lambda c: cover_key(catalog[c]))
     pieces = []
-    remainder = mask
-    for c in pool:
-        if not catalog[c] & ~remainder:
-            pieces.append(c)
-            remainder &= ~catalog[c]
-            if not remainder:
-                break
-    leftover = sorted(perm_tuple(remainder), key=lambda p: (-freq[p], p))
-    for i in range(0, len(leftover), k):
+    if mask.bit_count() <= k:
+        chunks = [mask]
+    else:
+        outside = ~mask
+        pool = [c for p in perm_tuple(mask) for c in lowest.get(p, ())
+                if not catalog[c] & outside]
+        pool.sort(key=lambda c: cover_key(catalog[c]))
+        remainder = mask
+        for c in pool:
+            if not catalog[c] & ~remainder:
+                pieces.append(c)
+                remainder &= ~catalog[c]
+                if not remainder:
+                    break
+        leftover = sorted(perm_tuple(remainder), key=lambda p: (-freq[p], p))
+        chunks = [mask_of(leftover[i : i + k]) for i in range(0, len(leftover), k)]
+    for chunk in chunks:
+        lowest.setdefault((chunk & -chunk).bit_length() - 1, []).append(len(catalog))
         pieces.append(len(catalog))
-        catalog.append(mask_of(leftover[i : i + k]))
+        catalog.append(chunk)
     return pieces
 
 
@@ -217,12 +261,13 @@ def mine_constrained(
     index = upa._row_index
     # Row i holds candidate i's stand-ins, which are {i} iff i is kept.
     held = _eliminate(index)
+    kept = [i for i, stand_ins in enumerate(held) if i in stand_ins]
 
     cat_masks: list[int] = []
+    lowest: dict[int, list[int]] = {}
     pieces = {
-        i: _split(index.masks[i], cat_masks, k, index.freq)
-        for i in candidate_order(index.masks, index.users)
-        if i in held[i]
+        i: _split(index.masks[i], cat_masks, lowest, k, index.freq)
+        for i in candidate_order(index.masks, index.users, kept)
     }
 
     # Each row lists its stand-ins' pieces once; the stand-ins go here.

@@ -503,6 +503,39 @@ def test_compare_needs_exactly_one_source(tmp_path, sparse_file):
     assert not out.exists()
 
 
+_PATH_FLAGS = {
+    "mine": ("--input", "--output", "--metrics", "--truth"),
+    "gen": ("--out-upa", "--out-truth"),
+    "compare": ("--input", "--out"),
+    "oracle": ("--input",),
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in _PATH_FLAGS.items() for flag in flags
+])
+def test_empty_path_is_a_usage_error(tmp_path, sparse_file, command, flag):
+    truth = tmp_path / "truth.txt"
+    truth.write_text("p1 p2\np3\n")
+    paths = {"--input": sparse_file, "--truth": truth}
+    paths.update((f, tmp_path / f.strip("-")) for f in
+                 ("--output", "--metrics", "--out-upa", "--out-truth", "--out"))
+    other = {
+        "mine": ["--algo", "constrained", "--k", "2"],
+        "gen": ["--n-users", "4", "--n-perms", "3", "--n-roles", "2",
+                "--max-roles-per-user", "1", "--max-perms-per-role", "2"],
+        "compare": ["--k-list", "2"],
+        "oracle": ["--k", "2"],
+    }[command]
+    for f in _PATH_FLAGS[command]:
+        other += [f, "" if f == flag else str(paths[f])]
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    proc = run_cli(command, *other)
+    assert proc.returncode == 2
+    assert f"argument {flag}: the path must not be empty" in proc.stderr
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_compare_gen_spec_includes_truth_metrics(tmp_path):
     out = tmp_path / "t.csv"
     proc = run_cli(

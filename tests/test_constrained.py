@@ -24,7 +24,7 @@ from rolemine import (
     serialize_decomposition,
     singleton_decomposition,
 )
-from rolemine._rowindex import RowIndex, candidate_order, row_groups
+from rolemine._rowindex import RowIndex, candidate_order, cover, row_groups
 from rolemine.constrained import Candidate, CandidatePool, _eliminate, _split
 from rolemine.model import mask_of, perm_tuple
 from rolemine.rng import SplitMix64
@@ -339,6 +339,55 @@ def test_eliminate_matches_reference_on_candidate_catalogs():
     assert removed > 0
 
 
+def _direct_eliminate(index):
+    """`_eliminate` with each role's subsets found by direct mask tests over
+    every other position, ascending, and the same cover walk."""
+    masks = index.masks
+    stand_ins = [None] * len(masks)
+    for i in reversed(range(len(masks))):
+        subs = [j for j, m in enumerate(masks) if j != i and not m & ~masks[i]]
+        taken, rest = cover(i, masks[i], subs, masks)
+        stand_ins[i] = {i} if rest else set().union(*(stand_ins[j] for j in taken))
+    return stand_ins
+
+
+@st.composite
+def _nested_rows(draw):
+    """Rows that nest deeply: a chain of one-permission steps over
+    permissions no other row starts from, atoms over the rest, and rounds
+    of unions of earlier rows, so unions of unions.  Returns the rows and
+    the chain."""
+    n_atom_perms = draw(st.integers(1, 6))
+    atoms = draw(st.lists(st.integers(1, (1 << n_atom_perms) - 1),
+                          min_size=1, max_size=6))
+    steps = draw(st.permutations(range(n_atom_perms,
+                                       n_atom_perms + draw(st.integers(3, 6)))))
+    chain = [mask_of(steps[: t + 1]) for t in range(len(steps))]
+    rows = atoms + chain
+    for _ in range(draw(st.integers(1, 3))):
+        parts = st.lists(st.sampled_from(rows), min_size=2, max_size=3)
+        for picked in draw(st.lists(parts, min_size=1, max_size=4)):
+            rows.append(functools.reduce(operator.or_, picked))
+    return rows, chain
+
+
+@settings(max_examples=400, deadline=None)
+@given(_nested_rows())
+def test_backward_pass_matches_direct_subset_reference_on_nested_rows(case):
+    rows, chain = case
+    upa = AccessMatrix.from_rows([perm_tuple(m) for m in rows])
+    index = RowIndex(row_groups(upa), upa.n_perms)
+    assert _eliminate(index) == _direct_eliminate(index)
+    # No other row lies inside a chain row, so each chain row's largest
+    # strict subset is the row before it, and the supersets of the chain's
+    # top are taken from those of every row below it.
+    position = {m: i for i, m in enumerate(index.masks)}
+    for below, above in zip(chain, chain[1:]):
+        inside = [j for j, m in enumerate(index.masks)
+                  if m != above and not m & ~above]
+        assert inside[0] == position[below]
+
+
 def _public_stage_outputs(upa, k):
     """Both public stages on one instance: union elimination on the
     candidate catalog, then `lattice_reduce` on each miner's raw output,
@@ -383,11 +432,28 @@ def test_public_stage_bytes_pinned(k, digest):
 
 # --- _split -------------------------------------------------------------------
 
+def _lowest(catalog):
+    """Each permission's catalog positions, ascending, of the masks whose
+    lowest permission it is, as `_split` keeps them."""
+    lowest = {}
+    for c, m in enumerate(catalog):
+        lowest.setdefault(perm_tuple(m)[0], []).append(c)
+    return lowest
+
+
+def _split_checked(mask, catalog, lowest, k, freq):
+    """_split, then a check that its map lists every catalog position
+    exactly once, under the mask's lowest permission."""
+    positions = _split(mask, catalog, lowest, k, freq)
+    assert lowest == _lowest(catalog)
+    return positions
+
+
 def _pieces(candidate, pool, k, freq):
     """_split on permission sets over a catalog of the pool sets: the
     catalog sets taken, then the chunks."""
     catalog = [mask_of(e) for e in pool]
-    positions = _split(mask_of(candidate), catalog, k, freq)
+    positions = _split_checked(mask_of(candidate), catalog, _lowest(catalog), k, freq)
     return [frozenset(perm_tuple(catalog[c])) for c in positions]
 
 
@@ -446,7 +512,7 @@ def _split_cases(draw):
 def test_split_keeps_its_contract_on_any_catalog(case):
     mask, catalog, k, freq, shuffle = case
     before = list(catalog)
-    positions = _split(mask, catalog, k, freq)
+    positions = _split_checked(mask, catalog, _lowest(catalog), k, freq)
     got = [catalog[c] for c in positions]
     # The catalog only grows, and only by the positions returned.
     assert catalog[: len(before)] == before
@@ -465,7 +531,8 @@ def test_split_keeps_its_contract_on_any_catalog(case):
     assert functools.reduce(operator.or_, got, 0) == mask
     # Read as masks, the pieces do not depend on the catalog's order.
     shuffled = [before[i] for i in shuffle]
-    assert [shuffled[c] for c in _split(mask, shuffled, k, freq)] == got
+    again = _split_checked(mask, shuffled, _lowest(shuffled), k, freq)
+    assert [shuffled[c] for c in again] == got
 
 
 def test_split_never_appends_a_mask_twice_while_mining():
@@ -473,10 +540,10 @@ def test_split_never_appends_a_mask_twice_while_mining():
     # candidate within k is a distinct row visited before any chunk.
     catalogs = []
 
-    def recording(mask, catalog, k, freq):
+    def recording(mask, catalog, lowest, k, freq):
         if not catalogs or catalogs[-1] is not catalog:
             catalogs.append(catalog)
-        return _split(mask, catalog, k, freq)
+        return _split_checked(mask, catalog, lowest, k, freq)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("rolemine.constrained._split", recording)
@@ -592,3 +659,20 @@ def test_mine_constrained_bytes_pinned_on_scale_instance(scale_upa, lattice):
     assert hashlib.sha256(serialize_decomposition(d).encode()).hexdigest() == (
         "8da72b1c7897215fefd90f6112dfabc00156a34ac917843556433844a890cc1a"
     )
+
+
+@pytest.mark.parametrize("k, r_count, digest", [
+    (2, 2110,
+     "376aa319ad77fc6ebb62e7308d013578ebfb0149d622189726668ae0b47cbbe5"),
+    (20, 400,
+     "32a9c9c6514940a479f259551c1995a493e711c561ac53932f2be203065b1445"),
+])
+def test_mine_constrained_bytes_pinned_on_scale_instance_at_other_k(
+    scale_upa, k, r_count, digest
+):
+    # k=2 splits 369 of the 400 kept candidates, the split's heaviest
+    # traffic; at k=20 none is split, and every kept candidate joins the
+    # catalog as itself.
+    d = mine_constrained(scale_upa, MiningConfig(max_perms_per_role=k))
+    assert d.r_count() == r_count
+    assert hashlib.sha256(serialize_decomposition(d).encode()).hexdigest() == digest
