@@ -20,10 +20,11 @@ bits at a time (`_transpose`), and a permission's frequency is its
 column's bit count plus the further users of those shared rows.
 
 A matrix builds its index once, on first use (`AccessMatrix._row_index`),
-from its `row_groups`, and keeps it, so both miners, `initial_candidates`
-and every later call on that matrix share one build.  The miners hand it
-to the stage cores; CRM starts its uncovered-cell bitmaps and permission
-frequencies from copies of it.  Every field is a tuple, each user group
+from its `row_groups`, and keeps it, so both miners, `initial_candidates`,
+the oracle and every later call on that matrix share one build.  The
+miners hand it to the stage cores; CRM starts its uncovered-cell bitmaps
+and permission frequencies from copies of it; the oracle takes its
+distinct rows from it.  Every field is a tuple, each user group
 too: no consumer can change a shared index, and once collections have run
 the garbage collector tracks the index object alone.  (A collection
 untracks a tuple only if its items are untracked when it reaches the
@@ -39,14 +40,18 @@ Every stage's result comes from one builder, `rebuild`, given the roles
 still held and the role ids of each group.  Between stages a group's role
 ids are a plain list, each id once: a row holds a few small ids, and a list
 of them costs a fraction of a set's hash table.  The miners reach it through
-`mined`, which builds a `Role` only for each mask still held, with its
-position as its id.  The public stages reach it through `staged`, the one
-adapter that runs a stage core on any complete decomposition: it indexes
-the stage's catalog once, from one `(mask, (role id,))` pair per role with
-the masks the stage's completeness check (`complete_masks`) built, numbers
-the roles by their positions in that index, hands the core the catalog
-index and each group's positions, and maps the positions back to role ids
-once.
+`mined`, their one shared tail: unless the lattice is off, it runs the one
+lattice sweep (`lattice.reduce_rows`, imported when called, as lattice
+imports this module) over the matrix's index, then builds a `Role` only for
+each mask still held, with its position as its id.  The public stages reach
+it through `staged`, the one adapter that runs a stage core on a
+decomposition, and the one place they are gated: it runs the completeness
+check (`complete_masks`) and refuses an incomplete decomposition, naming
+the stage, before any core runs.  It indexes the stage's catalog once, from
+one `(mask, (role id,))` pair per role with the masks the check built,
+numbers the roles by their positions in that index, hands the core the
+catalog index and each group's positions, and maps the positions back to
+role ids once.
 
 Union elimination and the lattice replace a role by the same greedy cover
 of other catalog roles, written once, in `cover`: walk a list of roles in
@@ -57,7 +62,10 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .model import AccessMatrix, Decomposition, Role, perm_tuple
+from .model import (
+    AccessMatrix, Decomposition, IncompleteDecompositionError, Role, complete_masks,
+    perm_tuple,
+)
 
 
 def rebuild(
@@ -81,11 +89,17 @@ def rebuild(
 
 
 def mined(
-    upa: AccessMatrix, masks: Sequence[int], held: Sequence[list[int]]
+    upa: AccessMatrix, masks: Sequence[int], held: list[list[int]], lattice: bool
 ) -> Decomposition:
     """A miner's result: role i is ``masks[i]`` with id i, ``held[g]`` lists
-    the roles of row position g of the matrix's index, and a `Role` is built
-    only for each mask still held."""
+    the roles of row position g of the matrix's index, and, with `lattice`
+    on, the one lattice sweep first updates `held` in place over that
+    index; a `Role` is built only for each mask still held."""
+    if lattice:
+        # Imported here: lattice imports this module.
+        from .lattice import reduce_rows
+
+        reduce_rows(masks, upa._row_index, held)
     live = set().union(*held)
     roles = [Role(i, frozenset(perm_tuple(masks[i]))) for i in sorted(live)]
     return rebuild(roles, held, upa._row_index.users, upa.n_users)
@@ -94,12 +108,13 @@ def mined(
 def staged(
     upa: AccessMatrix,
     d: Decomposition,
-    masks: dict[int, int],
+    stage: str,
     users: Sequence[Sequence[int]],
     core: Callable[[RowIndex, list[list[int]]], None],
 ) -> Decomposition:
-    """A public stage's result: `core` run on the complete decomposition `d`,
-    whose role masks by id are `masks`, as `complete_masks` returns them.
+    """A public stage's result: `core` run on the decomposition `d`, which
+    must be complete (`complete_masks`, with its errors); otherwise
+    `IncompleteDecompositionError` names the `stage`.
 
     ``users[g]`` is a group of users holding one role set in `d`.  The
     stage's catalog is a `RowIndex` of one `(mask, (role id,))` pair per
@@ -109,6 +124,9 @@ def staged(
     groups other roles and never takes a kept role from its last group, so
     the roles still held are the ones kept; they stay in `d`'s order.
     """
+    masks = complete_masks(upa, d)
+    if masks is None:
+        raise IncompleteDecompositionError(f"{stage} requires a complete decomposition")
     catalog = RowIndex([(masks[r.id], (r.id,)) for r in d.roles], upa.n_perms)
     position = {rid: i for i, (rid,) in enumerate(catalog.users)}
     held = [[position[rid] for rid in d.ua[group[0]]] for group in users]
@@ -176,15 +194,10 @@ def cover_key(mask: int) -> tuple[int, bytes]:
 
 
 def candidate_order(
-    masks: Sequence[int],
-    users: Sequence[Sequence[int]],
-    positions: Iterable[int] | None = None,
+    masks: Sequence[int], users: Sequence[Sequence[int]], positions: Iterable[int]
 ) -> list[int]:
-    """Row `positions` (by default all) by (size, smallest user): the
-    candidate order, in which a row's rank among all rows is its candidate
-    role's id."""
-    if positions is None:
-        positions = range(len(masks))
+    """Row `positions` by (size, smallest user): the candidate order, in
+    which a row's rank among all rows is its candidate role's id."""
     return sorted(positions, key=lambda i: (masks[i].bit_count(), users[i][0]))
 
 

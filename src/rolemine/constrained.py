@@ -23,9 +23,10 @@ through union elimination, the split and the lattice, so assignments are
 kept per row, as a list of catalog role ids, each once.  Union
 elimination's stand-ins stay sets, as they are unions; each row's list is
 its stand-ins' pieces, and the stand-ins are dropped before the lattice.
-After one lattice sweep (`lattice.reduce_rows`), unless it is disabled,
-the result function shared with CRM (`_rowindex.mined`) builds a `Role`
-for each catalog mask still held and expands the rows to users once.
+The pipeline ends in the tail it shares with CRM (`_rowindex.mined`): one
+lattice sweep over the index (`lattice.reduce_rows`), unless it is
+disabled, then a `Role` for each catalog mask still held, with the rows
+expanded to users once.
 
 Union elimination is one pass over the index, last position to first.
 r's strict subsets are smaller, so they sit after r, and each, when
@@ -53,11 +54,11 @@ pool.
 
 The public stages run the same cores on their arguments.
 `initial_candidates` reads the matrix's index and decodes each candidate's
-permission set.  `eliminate_union_roles` is its completeness check
-(`complete_masks`, which keeps the role masks it builds) and one call of
-the public stages' adapter (`_rowindex.staged`), which indexes the catalog
-once, from `(mask, (role id,))` pairs, one row per role, and numbers the
-roles by their positions in it.  Its core is `_eliminate` on that index,
+permission set.  `eliminate_union_roles` is one call of the public
+stages' adapter (`_rowindex.staged`), which gates it on completeness
+(`complete_masks`, which keeps the role masks it builds), indexes the
+catalog once, from `(mask, (role id,))` pairs, one row per role, and
+numbers the roles by their positions in it.  Its core is `_eliminate` on that index,
 and it gives each group the union of its roles' stand-ins.  The groups
 come from `row_groups` alone, by the roles they hold, with no decode, no
 sort and no index.
@@ -71,14 +72,11 @@ from typing import Iterable, Sequence
 from ._rowindex import (
     RowIndex, candidate_order, cover, cover_key, mined, row_groups, staged
 )
-from .lattice import reduce_rows
 from .model import (
     AccessMatrix,
     Decomposition,
-    IncompleteDecompositionError,
     MiningConfig,
     Role,
-    complete_masks,
     mask_of,
     perm_tuple,
 )
@@ -108,10 +106,11 @@ def initial_candidates(upa: AccessMatrix) -> CandidatePool:
     distinct-row index, built on first use and kept with the matrix.
     """
     index = upa._row_index
+    order = candidate_order(index.masks, index.users, range(len(index.masks)))
     return CandidatePool(
         candidates=tuple(
             Candidate(frozenset(perm_tuple(index.masks[i])), index.users[i], rank)
-            for rank, i in enumerate(candidate_order(index.masks, index.users))
+            for rank, i in enumerate(order)
         )
     )
 
@@ -182,18 +181,14 @@ def eliminate_union_roles(
     roles takes the union of their stand-ins.
     """
     d = Decomposition(roles=tuple(roles), ua=tuple(frozenset(s) for s in ua))
-    masks = complete_masks(upa, d)
-    if masks is None:
-        raise IncompleteDecompositionError(
-            "eliminate_union_roles requires a complete decomposition"
-        )
 
     def core(catalog: RowIndex, held: list[list[int]]) -> None:
         stand_ins = _eliminate(catalog)
         held[:] = [list({s for i in roles for s in stand_ins[i]}) for roles in held]
 
     # Group order cannot change the result: each user's set is written.
-    return staged(upa, d, masks, [users for _, users in row_groups(upa, d.ua)], core)
+    groups = [users for _, users in row_groups(upa, d.ua)]
+    return staged(upa, d, "eliminate_union_roles", groups, core)
 
 
 def _split(
@@ -273,6 +268,4 @@ def mine_constrained(
     # Each row lists its stand-ins' pieces once; the stand-ins go here.
     roles = [list({j for c in cands for j in pieces[c]}) for cands in held]
     del held
-    if lattice:
-        reduce_rows(cat_masks, index, roles)
-    return mined(upa, cat_masks, roles)
+    return mined(upa, cat_masks, roles, lattice)

@@ -56,13 +56,13 @@ held at the end; assignments are kept per row, as a list of role ids in
 pick order (a row takes each pick once, so no id repeats).  With the
 lattice on, a per-row check that each row's roles union to its mask comes
 first, the same check (`model._rows_covered`) that completeness runs per
-user.  Then one lattice sweep (`lattice.reduce_rows`) runs over the index.  It
-equals `lattice_reduce` on the raw output, which runs the same sweep on
-the raw output's role-set groups through the public stages' adapter
-(`_rowindex.staged`).  The result function shared with the constrained
-miner (`_rowindex.mined`) finds the held roles once, builds them and
-expands the rows to users once through `_rowindex.rebuild`, the builder
-the adapter ends in too.
+user.  The loop then ends in the tail it shares with the constrained miner
+(`_rowindex.mined`): unless the lattice is off, one lattice sweep
+(`lattice.reduce_rows`) over the index, which equals `lattice_reduce` on
+the raw output, as that runs the same sweep on the raw output's role-set
+groups through the public stages' adapter (`_rowindex.staged`); then the
+held roles are found once, built, and the rows expanded to users once
+through `_rowindex.rebuild`, the builder the adapter ends in too.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from __future__ import annotations
 import heapq
 
 from ._rowindex import RowIndex, mined
-from .lattice import reduce_rows
 from .model import (
     AccessMatrix,
     Decomposition,
@@ -194,10 +193,8 @@ def mine_crm(
     k = cfg.max_perms_per_role
     index = upa._row_index
     role_masks, held = _greedy(index, k)
-    if lattice:
-        if not _rows_covered(index.masks, held, role_masks):
-            raise IncompleteDecompositionError(
-                "CRM left a row uncovered before the lattice pass"
-            )
-        reduce_rows(role_masks, index, held)
-    return mined(upa, role_masks, held)
+    if lattice and not _rows_covered(index.masks, held, role_masks):
+        raise IncompleteDecompositionError(
+            "CRM left a row uncovered before the lattice pass"
+        )
+    return mined(upa, role_masks, held, lattice)

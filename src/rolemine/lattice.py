@@ -10,14 +10,16 @@ completeness and the cardinality bound are preserved by construction.
 
 The pass runs on row groups, not users.  Users with the same row and the
 same roles are reassigned alike, so each group keeps one assignment.  The
-miners run `reduce_rows` on their distinct-row index, where every user of
-a row holds the same roles, and build their result through
-`_rowindex.mined`.  `lattice_reduce` is its three checks and one call of
-the public stages' adapter, `_rowindex.staged`, which indexes the catalog
-once, in cover order, from the role masks the completeness check
-(`complete_masks`) built; its core is `reduce_rows` on that index's masks
-and an index built from the `row_groups` of the assigned role sets.  Both
-reach one builder, `rebuild`.
+miners' shared tail, `_rowindex.mined`, runs `reduce_rows` on the matrix's
+distinct-row index, where every user of a row holds the same roles.
+`lattice_reduce` checks k and makes one call of the public stages'
+adapter, `_rowindex.staged`, which gates it on completeness
+(`complete_masks`) and indexes the catalog once, in cover order, from the
+role masks the check built.  Its core checks the cardinality bound, so an
+incomplete input is refused as such before its roles are measured, then
+runs `reduce_rows` on that index's masks and an index built from the
+`row_groups` of the assigned role sets.  Both reach one builder,
+`rebuild`.
 
 Roles come in as masks and stay masks; the pass sorts them into the cover
 order, the removal order, by their masks' `_rowindex.cover_key`.  A role's
@@ -55,8 +57,6 @@ from .model import (
     AccessMatrix,
     ConstraintViolationError,
     Decomposition,
-    IncompleteDecompositionError,
-    complete_masks,
     perm_tuple,
     satisfies_constraint,
 )
@@ -115,17 +115,13 @@ def lattice_reduce(upa: AccessMatrix, d: Decomposition, k: int) -> Decomposition
     pass is idempotent."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    masks = complete_masks(upa, d)
-    if masks is None:
-        raise IncompleteDecompositionError(
-            "lattice_reduce requires a complete decomposition"
-        )
-    if not satisfies_constraint(d, k):
-        raise ConstraintViolationError(
-            f"input decomposition violates the constraint k={k}"
-        )
     index = RowIndex(row_groups(upa, d.ua), upa.n_perms)
-    return staged(
-        upa, d, masks, index.users,
-        lambda catalog, held: reduce_rows(catalog.masks, index, held),
-    )
+
+    def core(catalog: RowIndex, held: list[list[int]]) -> None:
+        if not satisfies_constraint(d, k):
+            raise ConstraintViolationError(
+                f"input decomposition violates the constraint k={k}"
+            )
+        reduce_rows(catalog.masks, index, held)
+
+    return staged(upa, d, "lattice_reduce", index.users, core)

@@ -1,7 +1,9 @@
 """Exact minimum-|R| solver for tiny instances.
 
-A row's candidates are its nonempty submasks of size <= k (nothing else
-can be assigned to its users without over-granting).  The search is
+The rows are the distinct nonempty rows of the matrix's index
+(rolemine._rowindex), smallest first, ties by permission tuple.  A row's
+candidates are its nonempty submasks of size <= k (nothing else can be
+assigned to its users without over-granting).  The search is
 iterative deepening on the catalog size: at each budget a depth-first search
 picks the first row not yet fully covered and branches on its candidates
 that add at least one missing permission.  Selecting a candidate credits
@@ -35,9 +37,9 @@ def optimal_role_count(upa: AccessMatrix, k: int) -> tuple[int, Decomposition]:
         raise InstanceTooLargeError(
             f"{upa.n_perms} permissions exceed the oracle guard of {MAX_PERMS}"
         )
-    rows = sorted(
-        {m for m in upa.masks if m}, key=lambda m: (m.bit_count(), perm_tuple(m))
-    )
+    # The index holds each distinct nonempty row once, in cover order, so a
+    # stable sort by size leaves each size in permission-tuple order.
+    rows = sorted(upa._row_index.masks, key=int.bit_count)
     if len(rows) > MAX_DISTINCT_ROWS:
         raise InstanceTooLargeError(
             f"{len(rows)} distinct rows exceed the oracle guard of {MAX_DISTINCT_ROWS}"

@@ -330,8 +330,8 @@ def test_eliminate_matches_reference_on_candidate_catalogs():
                                  min_perms=4, max_perms=30):
         index = RowIndex(row_groups(upa), upa.n_perms)
         ref = _reference_eliminate_union_roles(*_candidate_catalog(upa), upa)
-        cid = {i: rank for rank, i in
-               enumerate(candidate_order(index.masks, index.users))}
+        order = candidate_order(index.masks, index.users, range(len(index.masks)))
+        cid = {i: rank for rank, i in enumerate(order)}
         for i, stand_ins in enumerate(_eliminate(index)):
             removed += i not in stand_ins
             for u in index.users[i]:

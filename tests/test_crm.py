@@ -137,6 +137,53 @@ def test_both_miners_bytes_pinned_on_synthetic_instances():
     )
 
 
+def _spread(upa, a, b):
+    """`upa` relabelled with index order kept: permission p becomes
+    a * p + b, so never-held permissions sit before and between the held
+    ones, and an empty user comes before each user of odd index and after
+    the last.  Returns the matrix and each user's new index."""
+    users, masks = [], []
+    for u, m in enumerate(upa.masks):
+        if u % 2:
+            masks.append(0)
+        users.append(len(masks))
+        masks.append(mask_of(a * p + b for p in perm_tuple(m)))
+    masks.append(0)
+    spread = AccessMatrix(n_users=len(masks), n_perms=a * upa.n_perms + b,
+                          masks=tuple(masks))
+    return spread, users
+
+
+def _assert_miners_read_index_order_alone(upa, k, a, b):
+    # Every tie-break of both miners compares indices, so a relabelling
+    # that keeps their order, mapped back, gives the same decomposition.
+    spread, users = _spread(upa, a, b)
+    cfg = MiningConfig(max_perms_per_role=k)
+    for miner in (mine_constrained, mine_crm):
+        for lattice in (True, False):
+            d = miner(spread, cfg, lattice=lattice)
+            back = Decomposition(
+                roles=tuple(Role(r.id, {(p - b) // a for p in r.perms})
+                            for r in d.roles),
+                ua=tuple(d.ua[v] for v in users),
+            )
+            want = miner(upa, cfg, lattice=lattice)
+            assert back == want
+            assert serialize_decomposition(back) == serialize_decomposition(want)
+
+
+@pytest.mark.parametrize("k", [2, 5, 20])
+def test_miners_read_index_order_alone_on_guard(k):
+    _assert_miners_read_index_order_alone(guard_instance(), k, 3, 2)
+
+
+def test_miners_read_index_order_alone_on_shape_draws():
+    draws = shape_draws(6262, 30, min_users=5, max_users=80,
+                        min_perms=5, max_perms=40)
+    for i, (upa, _, k) in enumerate(draws):
+        _assert_miners_read_index_order_alone(upa, k, 2 + i % 3, i % 4)
+
+
 def test_crm_guard_instance_bytes_pinned_at_k5():
     upa = guard_instance()
     cfg = MiningConfig(max_perms_per_role=5)

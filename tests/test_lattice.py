@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rolemine.constrained
-import rolemine.crm
 import rolemine.lattice
 from rolemine import (
     AccessMatrix,
     ConstraintViolationError,
     Decomposition,
     IncompleteDecompositionError,
+    InvalidDecompositionError,
     MiningConfig,
     Role,
+    RoleMiningError,
     eliminate_union_roles,
     is_complete,
     lattice_reduce,
@@ -27,7 +27,7 @@ from rolemine import (
 )
 from rolemine._rowindex import RowIndex, row_groups, staged
 from rolemine.lattice import reduce_rows
-from rolemine.model import complete_masks, mask_of, perm_tuple
+from rolemine.model import mask_of, perm_tuple
 
 from conftest import (
     guard_instance,
@@ -82,6 +82,42 @@ def test_rejects_k_below_one(k):
     for m, d in ((empty, Decomposition.empty(2)), (upa, singleton_decomposition(upa))):
         with pytest.raises(ValueError, match="k must be >= 1"):
             lattice_reduce(m, d, k)
+
+
+def test_public_stages_raise_in_one_order():
+    # Each input below also breaks every later check: a role outside the
+    # matrix leaves its user over-granted and exceeds k=1, and the
+    # incomplete input exceeds k=1 too.
+    upa = AccessMatrix.from_rows([{0, 1}, {1}])
+    outside = Decomposition.from_sets([{0, 1, 2}, {1}], [{0}, {1}])
+    incomplete = Decomposition.from_sets([{0, 1}], [{0}, {0}])
+    complete = Decomposition.from_sets([{0, 1}, {1}], [{0}, {1}])
+
+    stages = {
+        "eliminate_union_roles": lambda d: eliminate_union_roles(d.roles, d.ua, upa),
+        "lattice_reduce": lambda d: lattice_reduce(upa, d, 1),
+    }
+
+    def raised(stage, d):
+        with pytest.raises(RoleMiningError) as caught:
+            stages[stage](d)
+        return type(caught.value), str(caught.value)
+
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        lattice_reduce(upa, outside, 0)
+    for stage in stages:
+        assert raised(stage, outside) == (
+            InvalidDecompositionError,
+            "role 0 references a permission >= n_perms (2)",
+        )
+        assert raised(stage, incomplete) == (
+            IncompleteDecompositionError,
+            f"{stage} requires a complete decomposition",
+        )
+    assert raised("lattice_reduce", complete) == (
+        ConstraintViolationError, "input decomposition violates the constraint k=1"
+    )
+    assert stages["eliminate_union_roles"](complete) == complete
 
 
 def test_never_regresses_on_mined_outputs():
@@ -292,7 +328,7 @@ def _sweeps_agree(upa, d):
             runs.append([list(roles) for roles in held])
             sweep(catalog.masks, index, held)
             runs.append(held)
-        staged(upa, d, complete_masks(upa, d), index.users, core)
+        staged(upa, d, "the sweep", index.users, core)
     before, expected, _, held = runs
     assert held == expected
     assert not _rows_holding_a_role_twice(before + held)
@@ -305,21 +341,18 @@ def _rows_holding_a_role_twice(held):
 
 
 def _checked_sweeps(monkeypatch):
-    """Make the `reduce_rows` that both miners and `lattice_reduce` call
-    check, before and after the sweep, that no row's list holds a role
-    twice; returns the list each checked sweep appends its caller to."""
+    """Make the `reduce_rows` that the miners' tail and `lattice_reduce`
+    call check, before and after the sweep, that no row's list holds a role
+    twice; returns the list each checked sweep appends its index to."""
     checked = []
 
-    def checking_in(caller):
-        def checking(masks, index, held):
-            assert not _rows_holding_a_role_twice(held)
-            reduce_rows(masks, index, held)
-            assert not _rows_holding_a_role_twice(held)
-            checked.append(caller)
-        return checking
+    def checking(masks, index, held):
+        assert not _rows_holding_a_role_twice(held)
+        reduce_rows(masks, index, held)
+        assert not _rows_holding_a_role_twice(held)
+        checked.append(index)
 
-    for module in (rolemine.constrained, rolemine.crm, rolemine.lattice):
-        monkeypatch.setattr(module, "reduce_rows", checking_in(module.__name__))
+    monkeypatch.setattr(rolemine.lattice, "reduce_rows", checking)
     return checked
 
 
@@ -332,15 +365,20 @@ def _mine_and_reduce(upa, k):
         lattice_reduce(upa, miner(upa, cfg, lattice=False), k)
 
 
+def _sweeps_on_matrix_index(upa, checked):
+    """For each checked sweep, whether it ran on the matrix's own index, as
+    the miners' tail does, not on one `lattice_reduce` built."""
+    return [index is upa._row_index for index in checked]
+
+
 @pytest.mark.parametrize("k", [2, 5, 20])
 def test_no_row_list_holds_a_role_twice_on_guard(monkeypatch, k):
     # The invariant the list form rests on: a walk never takes a role its
     # row already holds.
     checked = _checked_sweeps(monkeypatch)
-    _mine_and_reduce(guard_instance(), k)
-    assert checked == [
-        "rolemine.constrained", "rolemine.lattice", "rolemine.crm", "rolemine.lattice"
-    ]
+    upa = guard_instance()
+    _mine_and_reduce(upa, k)
+    assert _sweeps_on_matrix_index(upa, checked) == [True, False, True, False]
 
 
 def test_no_row_list_holds_a_role_twice_on_shape_draws(monkeypatch):
@@ -348,8 +386,9 @@ def test_no_row_list_holds_a_role_twice_on_shape_draws(monkeypatch):
     draws = list(shape_draws(5151, 30, min_users=5, max_users=80,
                              min_perms=5, max_perms=40))
     for upa, _, k in draws:
+        checked.clear()
         _mine_and_reduce(upa, k)
-    assert len(checked) == 4 * len(draws)
+        assert _sweeps_on_matrix_index(upa, checked) == [True, False, True, False]
 
 
 def test_sweep_matches_two_walk_reference_on_mined_outputs():
