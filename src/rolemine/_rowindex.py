@@ -39,19 +39,26 @@ indexes those groups per call.
 Every stage's result comes from one builder, `rebuild`, given the roles
 still held and the role ids of each group.  Between stages a group's role
 ids are a plain list, each id once: a row holds a few small ids, and a list
-of them costs a fraction of a set's hash table.  The miners reach it through
-`mined`, their one shared tail: unless the lattice is off, it runs the one
-lattice sweep (`lattice.reduce_rows`, imported when called, as lattice
-imports this module) over the matrix's index, then builds a `Role` only for
-each mask still held, with its position as its id.  The public stages reach
-it through `staged`, the one adapter that runs a stage core on a
-decomposition, and the one place they are gated: it runs the completeness
-check (`complete_masks`) and refuses an incomplete decomposition, naming
-the stage, before any core runs.  It indexes the stage's catalog once, from
-one `(mask, (role id,))` pair per role with the masks the check built,
-numbers the roles by their positions in that index, hands the core the
-catalog index and each group's positions, and maps the positions back to
-role ids once.
+of them costs a fraction of a set's hash table.
+
+A miner is its list of stages, and `mined` is the one code that runs such
+a list.  A stage has the lattice sweep's own signature, ``stage(masks,
+index, held)``: it takes the list of role masks, the matrix's index and
+each row position's list of role ids, and updates both lists in place; a
+stage that needs k gets it through `functools.partial`.  `mined` starts
+from empty lists, runs the miner's stages in order, then, unless the
+lattice is off, the lattice sweep (`lattice.reduce_rows`, imported when
+called, as lattice imports this module) as the last stage, and builds a
+`Role` only for each mask still held, with its position as its id.  The
+public stages reach `rebuild` through `staged`, the one adapter that runs a
+stage core on a decomposition, and the one place they are gated: it runs
+the completeness check (`complete_masks`) and refuses an incomplete
+decomposition, naming the stage, before any core runs.  It sorts the roles
+once into cover order by the masks the check built, numbers them by their
+positions in that order, hands the core those masks and each group's
+positions, and maps the positions back to role ids once.  It builds no
+catalog index: only union elimination's core reads columns, and it indexes
+the masks itself.
 
 Union elimination and the lattice replace a role by the same greedy cover
 of other catalog roles, written once, in `cover`: walk a list of roles in
@@ -89,17 +96,22 @@ def rebuild(
 
 
 def mined(
-    upa: AccessMatrix, masks: Sequence[int], held: list[list[int]], lattice: bool
+    upa: AccessMatrix, stages: Sequence[Callable[..., None]], lattice: bool
 ) -> Decomposition:
-    """A miner's result: role i is ``masks[i]`` with id i, ``held[g]`` lists
-    the roles of row position g of the matrix's index, and, with `lattice`
-    on, the one lattice sweep first updates `held` in place over that
-    index; a `Role` is built only for each mask still held."""
-    if lattice:
-        # Imported here: lattice imports this module.
-        from .lattice import reduce_rows
+    """A miner's result: its `stages` run in order on empty lists of role
+    masks and of each row's role ids, then, with `lattice` on, the one
+    lattice sweep as the last stage.  Each stage is called as
+    ``stage(masks, index, held)`` with the matrix's index and updates both
+    lists in place.  At the end role i is ``masks[i]`` with id i, and
+    ``held[g]`` lists the roles of row position g; a `Role` is built only
+    for each mask still held."""
+    # Imported here: lattice imports this module.
+    from .lattice import reduce_rows
 
-        reduce_rows(masks, upa._row_index, held)
+    masks: list[int] = []
+    held: list[list[int]] = []
+    for stage in (*stages, reduce_rows) if lattice else stages:
+        stage(masks, upa._row_index, held)
     live = set().union(*held)
     roles = [Role(i, frozenset(perm_tuple(masks[i]))) for i in sorted(live)]
     return rebuild(roles, held, upa._row_index.users, upa.n_users)
@@ -110,28 +122,28 @@ def staged(
     d: Decomposition,
     stage: str,
     users: Sequence[Sequence[int]],
-    core: Callable[[RowIndex, list[list[int]]], None],
+    core: Callable[[list[int], list[list[int]]], None],
 ) -> Decomposition:
     """A public stage's result: `core` run on the decomposition `d`, which
     must be complete (`complete_masks`, with its errors); otherwise
     `IncompleteDecompositionError` names the `stage`.
 
     ``users[g]`` is a group of users holding one role set in `d`.  The
-    stage's catalog is a `RowIndex` of one `(mask, (role id,))` pair per
-    role, so position i numbers `d`'s roles in cover order (`cover_key`);
-    ``core(catalog, held)`` updates ``held[g]``, the list of positions
-    group g holds, each once, in place.  A stage hands a dropped role's
-    groups other roles and never takes a kept role from its last group, so
-    the roles still held are the ones kept; they stay in `d`'s order.
+    stage's catalog is the list of `d`'s role masks in cover order
+    (`cover_key`), so position i numbers a role; ``core(catalog, held)``
+    updates ``held[g]``, the list of positions group g holds, each once, in
+    place.  A stage hands a dropped role's groups other roles and never
+    takes a kept role from its last group, so the roles still held are the
+    ones kept; they stay in `d`'s order.
     """
     masks = complete_masks(upa, d)
     if masks is None:
         raise IncompleteDecompositionError(f"{stage} requires a complete decomposition")
-    catalog = RowIndex([(masks[r.id], (r.id,)) for r in d.roles], upa.n_perms)
-    position = {rid: i for i, (rid,) in enumerate(catalog.users)}
+    ordered = sorted(d.roles, key=lambda r: cover_key(masks[r.id]))
+    position = {r.id: i for i, r in enumerate(ordered)}
     held = [[position[rid] for rid in d.ua[group[0]]] for group in users]
-    core(catalog, held)
-    assigned = [[catalog.users[i][0] for i in roles] for roles in held]
+    core([masks[r.id] for r in ordered], held)
+    assigned = [[ordered[i].id for i in roles] for roles in held]
     live = set().union(*assigned)
     return rebuild([r for r in d.roles if r.id in live], assigned, users, upa.n_users)
 

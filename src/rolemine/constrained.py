@@ -9,6 +9,12 @@ Pipeline for one matrix:
    reusing existing catalog roles before cutting fresh chunks;
 4. lattice reduction (rolemine.lattice) unless disabled.
 
+Steps 2 and 3 are the miner's list of stages, `_eliminate` and `_splits`
+(k bound by `functools.partial`), each ``stage(masks, index, held)`` as
+`_rowindex` describes it; step 1 is the index itself, and step 4 is the
+lattice stage that `_rowindex.mined`, which runs the list, appends unless
+it is off.
+
 Every ordering below is total, so mining is a pure function of the matrix
 and the config: rerunning serializes byte-identically.
 
@@ -22,11 +28,9 @@ ascending, smallest user) order.  Every user of a row holds the same roles
 through union elimination, the split and the lattice, so assignments are
 kept per row, as a list of catalog role ids, each once.  Union
 elimination's stand-ins stay sets, as they are unions; each row's list is
-its stand-ins' pieces, and the stand-ins are dropped before the lattice.
-The pipeline ends in the tail it shares with CRM (`_rowindex.mined`): one
-lattice sweep over the index (`lattice.reduce_rows`), unless it is
-disabled, then a `Role` for each catalog mask still held, with the rows
-expanded to users once.
+its stand-ins' pieces, and `_splits` drops the stand-ins before the
+lattice.  `_rowindex.mined` then builds a `Role` for each catalog mask
+still held, with the rows expanded to users once, as it does for CRM.
 
 Union elimination is one pass over the index, last position to first.
 r's strict subsets are smaller, so they sit after r, and each, when
@@ -46,27 +50,30 @@ s, r's largest strict subset, so this is s's supersets narrowed, and only
 a row with no strict subset asks `RowIndex.containing` for all the
 positions before it.
 
-Step 3 for one kept candidate, visited in candidate order, is `_split`,
-the only code that appends to the catalog, a list of masks in which a
-role's id is its position, or to the map from each permission to the
-catalog positions whose lowest permission it is, where a split finds its
-pool.
+`_eliminate` leaves the index's masks and each row's stand-ins.
+`_splits` clears the masks and makes that list the catalog, a list of
+masks in which a role's id is its position.  Step 3 for one kept
+candidate, visited in candidate order, is `_split`, the only code that
+appends to the catalog, or to the map from each permission to the catalog
+positions whose lowest permission it is, where a split finds its pool.
 
 The public stages run the same cores on their arguments.
 `initial_candidates` reads the matrix's index and decodes each candidate's
 permission set.  `eliminate_union_roles` is one call of the public
 stages' adapter (`_rowindex.staged`), which gates it on completeness
-(`complete_masks`, which keeps the role masks it builds), indexes the
-catalog once, from `(mask, (role id,))` pairs, one row per role, and
-numbers the roles by their positions in it.  Its core is `_eliminate` on that index,
-and it gives each group the union of its roles' stand-ins.  The groups
-come from `row_groups` alone, by the roles they hold, with no decode, no
-sort and no index.
+(`complete_masks`, which keeps the role masks it builds) and hands the
+core the role masks in cover order, numbering the roles by their
+positions.  The core indexes those masks once, from `(mask, (position,))`
+pairs, runs `_eliminate` on fresh lists over that index, and gives each
+group the union of its roles' stand-ins.  The groups come from
+`row_groups` alone, by the roles they hold, with no decode, no sort and no
+index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from ._rowindex import (
@@ -115,11 +122,12 @@ def initial_candidates(upa: AccessMatrix) -> CandidatePool:
     )
 
 
-def _eliminate(index: RowIndex) -> list[set[int]]:
+def _eliminate(masks: list[int], index: RowIndex, held: list[set[int]]) -> None:
     """Union elimination over the roles of `index`, one per position, in
-    visiting order: largest first, ties by permission tuple.  Returns each
-    position's stand-ins: ``{i}`` if role i is kept, else the kept roles
-    that replace it.
+    visiting order: largest first, ties by permission tuple.  The
+    constrained miner's first stage: on empty lists, it extends `masks`
+    with the index's masks and `held` with each position's stand-ins:
+    ``{i}`` if role i is kept, else the kept roles that replace it.
 
     One pass, last position to first.  A role's strict subsets all sit
     after it, and each adds itself to the subset lists of its strict
@@ -137,7 +145,7 @@ def _eliminate(index: RowIndex) -> list[set[int]]:
     positions before its role, a bitmap is no wider than the role's
     position.
     """
-    masks = index.masks
+    masks += index.masks
     # subs[i]: positions of the roles strictly inside role i, descending;
     # popped when the pass reaches i, so later appends cannot reach it.
     subs: list[list[int]] = [[] for _ in masks]
@@ -159,7 +167,7 @@ def _eliminate(index: RowIndex) -> list[set[int]]:
         sups[i] = sup = index.containing(rest, sup) | 0
         for j in perm_tuple(sup):
             subs[j].append(i)
-    return stand_ins
+    held.extend(stand_ins)
 
 
 def eliminate_union_roles(
@@ -173,17 +181,19 @@ def eliminate_union_roles(
     with covering roles that go too replaced by their own covers.  Subsets
     are all smaller, so the outcome never depends on the order of removal.
 
-    The core is `_eliminate` on the catalog index that `_rowindex.staged`
-    builds, one `(mask, (role id,))` pair per role, with positions in cover
-    order, so each role's subsets are walked largest first with ties by
-    permission tuple, and the cover (`_rowindex.cover`) is the one a sort
-    of the contained roles would give.  A group of users with the same
-    roles takes the union of their stand-ins.
+    The core is `_eliminate` on an index of the masks that
+    `_rowindex.staged` hands it in cover order, one `(mask, (position,))`
+    pair per role, so each role's subsets are walked largest first with
+    ties by permission tuple, and the cover (`_rowindex.cover`) is the one
+    a sort of the contained roles would give.  A group of users with the
+    same roles takes the union of their stand-ins.
     """
     d = Decomposition(roles=tuple(roles), ua=tuple(frozenset(s) for s in ua))
 
-    def core(catalog: RowIndex, held: list[list[int]]) -> None:
-        stand_ins = _eliminate(catalog)
+    def core(catalog: list[int], held: list[list[int]]) -> None:
+        stand_ins: list[set[int]] = []
+        index = RowIndex([(m, (i,)) for i, m in enumerate(catalog)], upa.n_perms)
+        _eliminate([], index, stand_ins)
         held[:] = [list({s for i in roles for s in stand_ins[i]}) for roles in held]
 
     # Group order cannot change the result: each user's set is written.
@@ -247,25 +257,26 @@ def _split(
     return pieces
 
 
+def _splits(masks: list[int], index: RowIndex, held: list[list[int]], k: int) -> None:
+    """Step 3 over the kept rows, in candidate order: the stage after
+    `_eliminate`, whose masks and stand-ins it is given.  `masks` becomes
+    the catalog that `_split` grows, and each row's list its stand-ins'
+    pieces, each once; the stand-ins go here, before the lattice."""
+    # Row i holds candidate i's stand-ins, which are {i} iff i is kept.
+    kept = [i for i, stand_ins in enumerate(held) if i in stand_ins]
+    masks.clear()
+    lowest: dict[int, list[int]] = {}
+    pieces = {
+        i: _split(index.masks[i], masks, lowest, k, index.freq)
+        for i in candidate_order(index.masks, index.users, kept)
+    }
+    held[:] = [list({j for c in cands for j in pieces[c]}) for cands in held]
+
+
 def mine_constrained(
     upa: AccessMatrix, cfg: MiningConfig, *, lattice: bool = True
 ) -> Decomposition:
     """Run the full pipeline; always returns a complete decomposition whose
     roles all have at most cfg.max_perms_per_role permissions."""
-    k = cfg.max_perms_per_role
-    index = upa._row_index
-    # Row i holds candidate i's stand-ins, which are {i} iff i is kept.
-    held = _eliminate(index)
-    kept = [i for i, stand_ins in enumerate(held) if i in stand_ins]
-
-    cat_masks: list[int] = []
-    lowest: dict[int, list[int]] = {}
-    pieces = {
-        i: _split(index.masks[i], cat_masks, lowest, k, index.freq)
-        for i in candidate_order(index.masks, index.users, kept)
-    }
-
-    # Each row lists its stand-ins' pieces once; the stand-ins go here.
-    roles = [list({j for c in cands for j in pieces[c]}) for cands in held]
-    del held
-    return mined(upa, cat_masks, roles, lattice)
+    stages = (_eliminate, partial(_splits, k=cfg.max_perms_per_role))
+    return mined(upa, stages, lattice)

@@ -53,13 +53,15 @@ re-truncating every round.
 
 Roles are kept as masks, and a `Role` is built only for each one still
 held at the end; assignments are kept per row, as a list of role ids in
-pick order (a row takes each pick once, so no id repeats).  With the
-lattice on, a per-row check that each row's roles union to its mask comes
-first, the same check (`model._rows_covered`) that completeness runs per
-user.  The loop then ends in the tail it shares with the constrained miner
-(`_rowindex.mined`): unless the lattice is off, one lattice sweep
-(`lattice.reduce_rows`) over the index, which equals `lattice_reduce` on
-the raw output, as that runs the same sweep on the raw output's role-set
+pick order (a row takes each pick once, so no id repeats).  CRM is its
+list of stages, run by `_rowindex.mined` as the constrained miner's is,
+each ``stage(masks, index, held)``: the loop (`_greedy`, k bound by
+`functools.partial`), then `_covered`, a per-row check that each row's
+roles union to its mask, the same check (`model._rows_covered`) that
+completeness runs per user, with the lattice on or off.  Unless the
+lattice is off, `mined` appends the lattice sweep (`lattice.reduce_rows`)
+over the index as the last stage, which equals `lattice_reduce` on the
+raw output, as that runs the same sweep on the raw output's role-set
 groups through the public stages' adapter (`_rowindex.staged`); then the
 held roles are found once, built, and the rows expanded to users once
 through `_rowindex.rebuild`, the builder the adapter ends in too.
@@ -68,6 +70,7 @@ through `_rowindex.rebuild`, the builder the adapter ends in too.
 from __future__ import annotations
 
 import heapq
+from functools import partial
 
 from ._rowindex import RowIndex, mined
 from .model import (
@@ -81,9 +84,10 @@ from .model import (
 )
 
 
-def _greedy(index: RowIndex, k: int) -> tuple[list[int], list[list[int]]]:
-    """The cover loop over the index rows: each role's mask and each row's
-    list of role ids, in the order they were picked."""
+def _greedy(masks: list[int], index: RowIndex, held: list[list[int]], k: int) -> None:
+    """The cover loop over the index rows, CRM's first stage: on empty
+    lists, it appends each role's mask to `masks` and each row's list of
+    role ids, in the order they were picked, to `held`."""
     n = len(index.columns)
     rank = [p - f * n for p, f in enumerate(index.freq)]
     # uncovered[p]: the rows still missing permission p.
@@ -112,8 +116,7 @@ def _greedy(index: RowIndex, k: int) -> tuple[list[int], list[list[int]]]:
     perms_of: dict[int, tuple[int, ...]] = {}
     cands: dict[int, int] = {}
 
-    role_masks: list[int] = []
-    held: list[list[int]] = [[] for _ in mask_at]
+    held += [[] for _ in mask_at]
     while clusters:
         while not tiers[keys[0]]:
             del tiers[heapq.heappop(keys)]
@@ -136,8 +139,8 @@ def _greedy(index: RowIndex, k: int) -> tuple[list[int], list[list[int]]]:
                 pick = c
         perms = perm_tuple(pick)
 
-        rid = len(role_masks)
-        role_masks.append(pick)
+        rid = len(masks)
+        masks.append(pick)
         holders = -1
         for p in perms:
             holders &= uncovered[p]
@@ -181,7 +184,13 @@ def _greedy(index: RowIndex, k: int) -> tuple[list[int], list[list[int]]]:
             rank[p] += moved * n
         for r in [r for r, c in cands.items() if c & pick]:
             del cands[r]
-    return role_masks, held
+
+
+def _covered(masks: list[int], index: RowIndex, held: list[list[int]]) -> None:
+    """CRM's second stage, a check: each row's roles must union to its
+    mask (`model._rows_covered`), else `IncompleteDecompositionError`."""
+    if not _rows_covered(index.masks, held, masks):
+        raise IncompleteDecompositionError("CRM left a row uncovered")
 
 
 def mine_crm(
@@ -190,11 +199,4 @@ def mine_crm(
     """Run the CRM baseline, then the lattice pass unless `lattice` is off;
     always returns a complete decomposition whose roles all have at most
     cfg.max_perms_per_role permissions."""
-    k = cfg.max_perms_per_role
-    index = upa._row_index
-    role_masks, held = _greedy(index, k)
-    if lattice and not _rows_covered(index.masks, held, role_masks):
-        raise IncompleteDecompositionError(
-            "CRM left a row uncovered before the lattice pass"
-        )
-    return mined(upa, role_masks, held, lattice)
+    return mined(upa, (partial(_greedy, k=cfg.max_perms_per_role), _covered), lattice)

@@ -192,9 +192,9 @@ def serialize_decomposition(d: Decomposition) -> str:
     zero; assignment lines follow in user order, with empty assignments
     omitted.
     """
-    order = sorted(d.roles, key=lambda r: (len(r.perms), r.sorted_perms()))
-    renumber = {r.id: i for i, r in enumerate(order)}
-    lines = [serialize_catalog([r.perms for r in order])]
+    order, role_lines = _role_lines({r.id: r.sorted_perms() for r in d.roles})
+    renumber = {rid: i for i, rid in enumerate(order)}
+    lines = [role_lines]
     names = [f"r{i}" for i in range(len(order))]
     for u, role_ids in enumerate(d.ua):
         if role_ids:
@@ -259,13 +259,20 @@ def parse_decomposition(text: str, n_users: int) -> Decomposition:
     return Decomposition(roles=roles, ua=tuple(ua))
 
 
+def _role_lines(perms: dict[int, tuple[int, ...]]) -> tuple[list[int], str]:
+    """The keys of `perms`, each a role's sorted permission tuple, in
+    canonical order (size, then tuple), sorted once, and the ``role <i>:
+    p<n> ...`` line of each, role i the i-th in that order."""
+    order = sorted(perms, key=lambda i: (len(perms[i]), perms[i]))
+    return order, "".join(
+        "role %d: %s\n" % (n, " ".join(f"p{p}" for p in perms[i]))
+        for n, i in enumerate(order)
+    )
+
+
 def serialize_catalog(catalog: Sequence[frozenset[int]]) -> str:
     """Role lines only, canonical order; used for ground-truth files."""
-    order = sorted(catalog, key=lambda s: (len(s), tuple(sorted(s))))
-    return "".join(
-        "role %d: %s\n" % (i, " ".join(f"p{p}" for p in sorted(s)))
-        for i, s in enumerate(order)
-    )
+    return _role_lines({i: tuple(sorted(s)) for i, s in enumerate(catalog)})[1]
 
 
 def parse_catalog(text: str) -> tuple[frozenset[int], ...]:

@@ -9,17 +9,18 @@ never adds or merges roles, so the catalog can only shrink and
 completeness and the cardinality bound are preserved by construction.
 
 The pass runs on row groups, not users.  Users with the same row and the
-same roles are reassigned alike, so each group keeps one assignment.  The
-miners' shared tail, `_rowindex.mined`, runs `reduce_rows` on the matrix's
-distinct-row index, where every user of a row holds the same roles.
-`lattice_reduce` checks k and makes one call of the public stages'
-adapter, `_rowindex.staged`, which gates it on completeness
-(`complete_masks`) and indexes the catalog once, in cover order, from the
-role masks the check built.  Its core checks the cardinality bound, so an
-incomplete input is refused as such before its roles are measured, then
-runs `reduce_rows` on that index's masks and an index built from the
-`row_groups` of the assigned role sets.  Both reach one builder,
-`rebuild`.
+same roles are reassigned alike, so each group keeps one assignment.
+`reduce_rows` has the signature of a miner's stage, ``stage(masks, index,
+held)``, and is each miner's last stage: `_rowindex.mined`, which runs a
+miner's list of stages, appends it unless the lattice is off, and runs it
+on the matrix's distinct-row index, where every user of a row holds the
+same roles.  `lattice_reduce` checks k and makes one call of the public
+stages' adapter, `_rowindex.staged`, which gates it on completeness
+(`complete_masks`) and sorts the role masks the check built into cover
+order once.  Its core checks the cardinality bound, so an incomplete input
+is refused as such before its roles are measured, then runs `reduce_rows`
+on those masks and an index built from the `row_groups` of the assigned
+role sets.  Both reach one builder, `rebuild`.
 
 Roles come in as masks and stay masks; the pass sorts them into the cover
 order, the removal order, by their masks' `_rowindex.cover_key`.  A role's
@@ -117,11 +118,11 @@ def lattice_reduce(upa: AccessMatrix, d: Decomposition, k: int) -> Decomposition
         raise ValueError("k must be >= 1")
     index = RowIndex(row_groups(upa, d.ua), upa.n_perms)
 
-    def core(catalog: RowIndex, held: list[list[int]]) -> None:
+    def core(catalog: list[int], held: list[list[int]]) -> None:
         if not satisfies_constraint(d, k):
             raise ConstraintViolationError(
                 f"input decomposition violates the constraint k={k}"
             )
-        reduce_rows(catalog.masks, index, held)
+        reduce_rows(catalog, index, held)
 
     return staged(upa, d, "lattice_reduce", index.users, core)

@@ -313,13 +313,22 @@ def test_union_elimination_matches_reference_when_row_users_differ(instance):
     )
 
 
+def _stand_ins(index):
+    """Each position's stand-ins from the `_eliminate` stage run on fresh
+    lists, which also extends the masks with the index's own."""
+    masks, held = [], []
+    _eliminate(masks, index, held)
+    assert masks == list(index.masks)
+    return held
+
+
 def test_eliminate_stand_ins_go_through_removed_cover_members():
     # Positions in visiting order: 0 {0,1,2}, 1 {0,1}, 2 {0}, 3 {1}, 4 {2}.
     # {0,1,2}'s walk takes {0,1} and {2}; {0,1} is removed as well, so its
     # stand-ins {0} and {1} replace it in those of {0,1,2}.
     upa = AccessMatrix.from_rows([{0}, {1}, {2}, {0, 1}, {0, 1, 2}])
     index = RowIndex(row_groups(upa), upa.n_perms)
-    assert _eliminate(index) == [{2, 3, 4}, {2, 3}, {2}, {3}, {4}]
+    assert _stand_ins(index) == [{2, 3, 4}, {2, 3}, {2}, {3}, {4}]
 
 
 def test_eliminate_matches_reference_on_candidate_catalogs():
@@ -332,14 +341,14 @@ def test_eliminate_matches_reference_on_candidate_catalogs():
         ref = _reference_eliminate_union_roles(*_candidate_catalog(upa), upa)
         order = candidate_order(index.masks, index.users, range(len(index.masks)))
         cid = {i: rank for rank, i in enumerate(order)}
-        for i, stand_ins in enumerate(_eliminate(index)):
+        for i, stand_ins in enumerate(_stand_ins(index)):
             removed += i not in stand_ins
             for u in index.users[i]:
                 assert {cid[j] for j in stand_ins} == ref.ua[u]
     assert removed > 0
 
 
-def _direct_eliminate(index):
+def _direct_stand_ins(index):
     """`_eliminate` with each role's subsets found by direct mask tests over
     every other position, ascending, and the same cover walk."""
     masks = index.masks
@@ -377,7 +386,7 @@ def test_backward_pass_matches_direct_subset_reference_on_nested_rows(case):
     rows, chain = case
     upa = AccessMatrix.from_rows([perm_tuple(m) for m in rows])
     index = RowIndex(row_groups(upa), upa.n_perms)
-    assert _eliminate(index) == _direct_eliminate(index)
+    assert _stand_ins(index) == _direct_stand_ins(index)
     # No other row lies inside a chain row, so each chain row's largest
     # strict subset is the row before it, and the supersets of the chain's
     # top are taken from those of every row below it.
@@ -676,3 +685,115 @@ def test_mine_constrained_bytes_pinned_on_scale_instance_at_other_k(
     d = mine_constrained(scale_upa, MiningConfig(max_perms_per_role=k))
     assert d.r_count() == r_count
     assert hashlib.sha256(serialize_decomposition(d).encode()).hexdigest() == digest
+
+
+# --- the whole pipeline against a plain-set reference -----------------------
+
+def _reference_mine_constrained(upa, k, lattice):
+    """The constrained pipeline on plain sets, written from its statement,
+    with no masks and no row index.
+
+    1. The distinct nonempty rows, in cover order: size descending, then
+       sorted permission tuple.
+    2. Union elimination, smallest row first: a row goes iff the greedy
+       walk over its strict subsets, in cover order, taking each that meets
+       what is left, leaves nothing; its stand-ins are then the union of
+       those of the subsets taken, else the row itself.
+    3. The split, over the kept rows by (size, smallest user): a row within
+       k joins the catalog as itself; a larger one takes the catalog sets
+       inside what is left of it, in cover order, then cuts the rest into
+       chunks of k by (descending user frequency, index), which join the
+       catalog.  A row holds its stand-ins' pieces.
+    4. Unless `lattice` is off, one sweep over the catalog in cover order:
+       a role goes iff each row holding it covers what its other roles
+       leave of it by a walk over the other live roles that fit the row, in
+       cover order; each holder then takes its walk's roles.
+    """
+    users_of = {}
+    for u, row in enumerate(upa.rows()):
+        if row:
+            users_of.setdefault(row, []).append(u)
+
+    def cover_order(ids, sets):
+        return sorted(ids, key=lambda i: (-len(sets[i]), sorted(sets[i])))
+
+    def walk(target, ids, sets):
+        taken, rest = [], set(target)
+        for i in ids:
+            if rest and sets[i] & rest:
+                taken.append(i)
+                rest -= sets[i]
+        return taken, rest
+
+    rows = list(users_of)
+    rows = [rows[i] for i in cover_order(range(len(rows)), rows)]
+    stand_ins = {}
+    for r in reversed(range(len(rows))):
+        inside = [s for s in range(r + 1, len(rows)) if rows[s] < rows[r]]
+        taken, rest = walk(rows[r], inside, rows)
+        stand_ins[r] = {r} if rest else set().union(*(stand_ins[s] for s in taken))
+
+    freq = {}
+    for row in upa.rows():
+        for p in row:
+            freq[p] = freq.get(p, 0) + 1
+    catalog, pieces = [], {}
+    kept = [r for r in range(len(rows)) if r in stand_ins[r]]
+    for r in sorted(kept, key=lambda r: (len(rows[r]), users_of[rows[r]][0])):
+        if len(rows[r]) <= k:
+            reused, chunks = [], [rows[r]]
+        else:
+            reused, rest = [], set(rows[r])
+            for c in cover_order(range(len(catalog)), catalog):
+                if catalog[c] <= rest:
+                    reused.append(c)
+                    rest -= catalog[c]
+            left = sorted(rest, key=lambda p: (-freq[p], p))
+            chunks = [frozenset(left[i:i + k]) for i in range(0, len(left), k)]
+        pieces[r] = reused + list(range(len(catalog), len(catalog) + len(chunks)))
+        catalog += chunks
+    held = [{c for s in stand_ins[r] for c in pieces[s]} for r in range(len(rows))]
+
+    if lattice:
+        live = cover_order(range(len(catalog)), catalog)
+        for role in list(live):
+            picks = {}
+            for r, row in enumerate(rows):
+                if role not in held[r]:
+                    continue
+                others = set().union(*(catalog[c] for c in held[r] if c != role))
+                fitting = [c for c in live if c != role and catalog[c] <= row]
+                taken, rest = walk(catalog[role] - others, fitting, catalog)
+                if rest:
+                    break
+                picks[r] = taken
+            else:
+                live.remove(role)
+                for r, taken in picks.items():
+                    held[r] = held[r] - {role} | set(taken)
+    ids = sorted(set().union(*held))
+    position = {row: r for r, row in enumerate(rows)}
+    return Decomposition(
+        roles=tuple(Role(c, catalog[c]) for c in ids),
+        ua=tuple(frozenset(held[position[row]]) if row else frozenset()
+                 for row in upa.rows()),
+    )
+
+
+@pytest.mark.parametrize("lattice", [True, False])
+def test_mine_constrained_matches_plain_set_reference_on_shape_draws(lattice):
+    for upa, _, _ in shape_draws(4242, 60):
+        for k in sorted({1, 2, 3, 5, upa.max_row_size() or 1}):
+            cfg = MiningConfig(max_perms_per_role=k)
+            assert mine_constrained(upa, cfg, lattice=lattice) == (
+                _reference_mine_constrained(upa, k, lattice))
+
+
+@pytest.mark.parametrize("k", [2, 5, 20])
+@pytest.mark.parametrize("lattice", [True, False])
+def test_mine_constrained_matches_plain_set_reference_on_guard(lattice, k):
+    # The reference takes about 0.2 s per call on guard.
+    upa = guard_instance()
+    cfg = MiningConfig(max_perms_per_role=k)
+    assert mine_constrained(upa, cfg, lattice=lattice) == (
+        _reference_mine_constrained(upa, k, lattice))

@@ -59,20 +59,21 @@ def test_crm_assigns_role_to_superset_users_outside_cluster():
     assert 0 in d.ua[2]
 
 
-def test_crm_rejects_a_greedy_result_that_leaves_a_row_uncovered(monkeypatch):
-    # The per-row check before the lattice pass: drop one role from the
-    # first row's set, so that row's roles no longer union to its mask.
+@pytest.mark.parametrize("lattice", [True, False])
+def test_crm_rejects_a_greedy_result_that_leaves_a_row_uncovered(monkeypatch, lattice):
+    # The per-row check after the greedy loop, with the lattice on or off:
+    # drop one role from the first row's set, so that row's roles no longer
+    # union to its mask.
     greedy = rolemine.crm._greedy
 
-    def dropping(index, k):
-        role_masks, held = greedy(index, k)
+    def dropping(masks, index, held, k):
+        greedy(masks, index, held, k)
         held[0].remove(min(held[0]))
-        return role_masks, held
 
     monkeypatch.setattr(rolemine.crm, "_greedy", dropping)
     upa = AccessMatrix.from_rows([{0, 1, 2}, {0, 1}, {2}, {0, 1, 2}])
     with pytest.raises(IncompleteDecompositionError, match="uncovered"):
-        mine_crm(upa, MiningConfig(max_perms_per_role=2))
+        mine_crm(upa, MiningConfig(max_perms_per_role=2), lattice=lattice)
 
 
 def test_crm_complete_constrained_deterministic_on_random_instances():

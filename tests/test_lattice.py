@@ -326,7 +326,7 @@ def _sweeps_agree(upa, d):
     for sweep in (_reference_reduce_rows, reduce_rows):
         def core(catalog, held, sweep=sweep):
             runs.append([list(roles) for roles in held])
-            sweep(catalog.masks, index, held)
+            sweep(catalog, index, held)
             runs.append(held)
         staged(upa, d, "the sweep", index.users, core)
     before, expected, _, held = runs
